@@ -46,7 +46,6 @@ class Budget:
     SYMCLASS_BUDGET environment variable."""
 
     subgroup_order_cap: int = 400
-    triple_degree_cap: int = 128
 
 
 @dataclass(frozen=True)

@@ -36,12 +36,18 @@ _CONTEXT_GROUPS = {
 
 
 def _budget_from_args(args) -> Budget:
-    cap = getattr(args, "budget", None)
-    if cap is None:
-        env = os.environ.get(_BUDGET_ENV)
-        cap = int(env) if env else 400
-    triple = getattr(args, "triple_cap", None) or 128
-    return Budget(subgroup_order_cap=cap, triple_degree_cap=triple)
+    text, source = args.budget, "--budget"
+    if text is None:
+        text, source = os.environ.get(_BUDGET_ENV), _BUDGET_ENV
+        if not text:
+            return Budget()
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = None
+    if cap is None or cap < 1:
+        raise ParameterError(f"{source} must be a positive integer, got {text!r}")
+    return Budget(subgroup_order_cap=cap)
 
 
 def _emit(payload: dict) -> None:
@@ -299,17 +305,14 @@ def build_parser() -> argparse.ArgumentParser:
                             help="run claim verifiers from the built-in catalog")
     verify.add_argument("claims", nargs="*")
     verify.add_argument("--all", action="store_true")
-    verify.add_argument("--budget", type=int,
+    verify.add_argument("--budget",
                         help="subgroup-enumeration order cap (default 400, "
                              f"or ${_BUDGET_ENV})")
-    verify.add_argument("--triple-cap", type=int,
-                        help="ordered-triple enumeration degree cap (default 128)")
     verify.set_defaults(func=_cmd_verify_paper)
 
     report = sub.add_parser("report",
                             help="full verdict suite plus the catalog row checks")
-    report.add_argument("--budget", type=int)
-    report.add_argument("--triple-cap", type=int)
+    report.add_argument("--budget")
     report.set_defaults(func=_cmd_report)
     return parser
 

@@ -7,7 +7,7 @@ enumerations and stabilizer generators are byte-for-byte stable across runs.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 
 from .errors import DegreeMismatch, ParameterError, ParseError, SizeCapExceeded
 from .perm import Permutation
@@ -20,17 +20,19 @@ class StabilizerChain:
 
     Per level ``i`` the chain stores the generators introduced there (they fix
     ``base[:i]`` and move ``base[i]``) and a transversal mapping each point of
-    the basic orbit to a coset representative ``t`` with ``t(base[i]) ==
-    point``.
+    the basic orbit to the inverse of a coset representative ``t`` with
+    ``t(base[i]) == point``. Sifting only needs the inverses; the few paths
+    that need ``t`` itself invert them again.
     """
+
+    __slots__ = ("degree", "base", "prefix_length", "_identity", "_gens", "_inv")
 
     def __init__(self, degree: int, generators, base_prefix=()):
         self.degree = degree
+        self._identity = Permutation.identity(degree)
         self.base: list[int] = []
         self._gens: list[list[Permutation]] = []
-        self._trans: list[dict[int, Permutation]] = []
         self._inv: list[dict[int, Permutation]] = []
-        self._done: list[set] = []
         seen_prefix = set()
         for beta in base_prefix:
             if not 0 <= beta < degree:
@@ -50,12 +52,9 @@ class StabilizerChain:
     # -- construction ------------------------------------------------------
 
     def _new_level(self, beta: int) -> None:
-        ident = Permutation.identity(self.degree)
         self.base.append(beta)
         self._gens.append([])
-        self._trans.append({beta: ident})
-        self._inv.append({beta: ident})
-        self._done.append(set())
+        self._inv.append({beta: self._identity})
 
     def _place(self, g: Permutation) -> None:
         for i, beta in enumerate(self.base):
@@ -73,35 +72,36 @@ class StabilizerChain:
 
     def _extend_orbit(self, i: int) -> None:
         gens = self._gens_from(i)
-        trans, inv = self._trans[i], self._inv[i]
-        queue = deque(sorted(trans))
+        inv = self._inv[i]
+        queue = deque(sorted(inv))
         while queue:
             b = queue.popleft()
-            tb = trans[b]
+            ub = inv[b]
             for s in gens:
                 c = s.images[b]
-                if c not in trans:
-                    rep = tb * s
-                    trans[c] = rep
-                    inv[c] = rep.inverse()
+                if c not in inv:
+                    # the representative of c is t_b * s, its inverse s^-1 * t_b^-1
+                    inv[c] = s.inverse() * ub
                     queue.append(c)
 
     def _close(self) -> None:
         # Standard bottom-up Schreier-Sims: a level is complete once all its
         # Schreier generators sift to the identity through the levels below.
+        # ``done`` holds the sifted (point, generator) pairs per level; it is
+        # only needed while the chain is being built.
+        done = defaultdict(set)
         i = len(self.base) - 1
         while i >= 0:
-            j = self._check_level(i)
+            j = self._check_level(i, done[i])
             i = i - 1 if j is None else j
 
-    def _check_level(self, i: int):
+    def _check_level(self, i: int, done: set):
         self._extend_orbit(i)
         gens = self._gens_from(i)
-        trans = self._trans[i]
         inv = self._inv[i]
-        done = self._done[i]
-        for b in sorted(trans):
-            tb = trans[b]
+        for b in sorted(inv):
+            ub = inv[b]
+            tb = None
             for s in gens:
                 key = (b, s)
                 if key in done:
@@ -109,10 +109,14 @@ class StabilizerChain:
                 # membership in the subgroup below only ever grows, so a pair
                 # that sifted to the identity once never needs rechecking
                 done.add(key)
-                schreier = tb * s * inv[s.images[b]]
-                if schreier.is_identity():
+                # the Schreier generator t_b * s * t_c^-1 is the identity
+                # exactly when s * t_c^-1 equals t_b^-1
+                tail = s * inv[s.images[b]]
+                if tail == ub:
                     continue
-                h, j = self._strip(schreier, i + 1)
+                if tb is None:
+                    tb = ub.inverse()
+                h, j = self._strip(tb * tail, i + 1)
                 if h.is_identity():
                     continue
                 if j == len(self.base):
@@ -135,8 +139,8 @@ class StabilizerChain:
 
     def order(self) -> int:
         result = 1
-        for trans in self._trans:
-            result *= len(trans)
+        for inv in self._inv:
+            result *= len(inv)
         return result
 
     def contains(self, p: Permutation) -> bool:
@@ -146,7 +150,7 @@ class StabilizerChain:
         return i == len(self.base) and residue.is_identity()
 
     def basic_orbit(self, i: int) -> tuple:
-        return tuple(sorted(self._trans[i]))
+        return tuple(sorted(self._inv[i]))
 
     def strong_generators(self, from_level: int = 0) -> list[Permutation]:
         """Strong generators fixing ``base[:from_level]`` pointwise."""
@@ -163,9 +167,9 @@ class StabilizerChain:
         if self.order() > _ELEMENTS_CAP:
             raise SizeCapExceeded(
                 f"refusing to enumerate {self.order()} elements (cap {_ELEMENTS_CAP})")
-        elems = [Permutation.identity(self.degree)]
+        elems = [self._identity]
         for i in range(len(self.base) - 1, -1, -1):
-            reps = [self._trans[i][b] for b in sorted(self._trans[i])]
+            reps = [self._inv[i][b].inverse() for b in sorted(self._inv[i])]
             elems = [e * t for e in elems for t in reps]
         return sorted(elems)
 

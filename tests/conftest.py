@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import permutations
 
-from symclass import Graph, Permutation
+from symclass import Graph, Permutation, PermutationGroup
 
 
 def brute_closure(gens):
@@ -79,3 +80,63 @@ def index2_subgroup_count(elements) -> int:
     rank = quotient.bit_length() - 1
     assert 1 << rank == quotient, "quotient by squares+commutators must be a 2-group"
     return (1 << rank) - 1
+
+
+def brute_subgroups(group):
+    """The subgroup lattice walked by closing every generator list from the
+    identity: each subgroup found is joined with every cyclic subgroup not
+    inside it. Same output contract as ``enumerate_subgroups``."""
+    elements = group.elements()
+    index = {p: i for i, p in enumerate(elements)}
+    identity = index[Permutation.identity(group.degree)]
+    table = [[index[a * b] for b in elements] for a in elements]
+
+    def close(gen_ids):
+        members = {identity}
+        members.update(gen_ids)
+        frontier = list(members)
+        while frontier:
+            fresh = []
+            for a in frontier:
+                row = table[a]
+                for g in gen_ids:
+                    c = row[g]
+                    if c not in members:
+                        members.add(c)
+                        fresh.append(c)
+            frontier = fresh
+        return frozenset(members)
+
+    cyclic = {}
+    for i in range(len(elements)):
+        powers = {identity}
+        x = i
+        while x != identity:
+            powers.add(x)
+            x = table[x][i]
+        cyclic.setdefault(frozenset(powers), i)
+    reps = sorted(cyclic.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
+
+    trivial = frozenset({identity})
+    found = {trivial: []}
+    queue = deque([trivial])
+    for cyc, rep in reps:
+        if cyc not in found:
+            found[cyc] = [rep]
+            queue.append(cyc)
+    while queue:
+        current = queue.popleft()
+        gens = found[current]
+        for cyc, rep in reps:
+            if rep in current:
+                continue
+            bigger = close(gens + [rep])
+            if bigger not in found:
+                found[bigger] = gens + [rep]
+                queue.append(bigger)
+
+    ordered = sorted(
+        found.items(),
+        key=lambda kv: (len(kv[0]), tuple(sorted(elements[i].images for i in kv[0]))))
+    return [PermutationGroup(group.degree, tuple(elements[i] for i in gens))
+            for _, gens in ordered]

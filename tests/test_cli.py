@@ -163,6 +163,39 @@ def test_budget_env_var(capsys, monkeypatch):
     assert json.loads(out)["claims"][0]["status"] == "skipped"
 
 
+@pytest.mark.parametrize("value", ["abc", "-5", "0", "1.5"])
+def test_bad_budget_env_var_is_a_parameter_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("SYMCLASS_BUDGET", value)
+    code, out, err = run_cli(capsys, "verify-paper", "L3.5")
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"]["code"] == "bad-parameter"
+    assert "SYMCLASS_BUDGET" in json.loads(err)["error"]["message"]
+
+
+@pytest.mark.parametrize("command", ["verify-paper", "report"])
+@pytest.mark.parametrize("value", ["abc", "-5", "0"])
+def test_bad_budget_flag_is_a_parameter_error(capsys, command, value):
+    code, out, err = run_cli(capsys, command, "--budget", value)
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"]["code"] == "bad-parameter"
+    assert "--budget" in json.loads(err)["error"]["message"]
+
+
+def test_budget_flag_overrides_env_var(capsys, monkeypatch):
+    monkeypatch.setenv("SYMCLASS_BUDGET", "abc")
+    code, out, _ = run_cli(capsys, "verify-paper", "L3.5", "--budget", "10")
+    assert code == 0
+    assert json.loads(out)["claims"][0]["status"] == "skipped"
+
+
+def test_triple_cap_flag_is_gone():
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify-paper", "L2.2", "--triple-cap", "5"])
+    assert excinfo.value.code == 2
+
+
 def _strip_runtime(payload):
     for entry in payload.get("claims", []):
         entry.pop("runtime_ms", None)

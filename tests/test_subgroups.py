@@ -1,10 +1,33 @@
 import pytest
 
-from conftest import index2_subgroup_count
+from conftest import brute_subgroups, index2_subgroup_count
 
 from symclass import PermutationGroup, enumerate_subgroups
 from symclass.errors import BudgetExceeded
-from symclass.families import alt, octahedral, sym
+from symclass.families import (
+    alt,
+    dihedral,
+    icosahedral,
+    octahedral,
+    sym,
+    wreath_bipartite,
+    wreath_grid,
+)
+
+ORACLE_GROUPS = {
+    "sym(3)": lambda: sym(3),
+    "alt(4)": lambda: alt(4),
+    "sym(4)": lambda: sym(4),
+    "alt(5)": lambda: alt(5),
+    "sym(5)": lambda: sym(5),
+    "octahedral": octahedral,
+    "icosahedral": icosahedral,
+    "wreath_grid(4)": lambda: wreath_grid(4),
+    "wreath_bipartite(3)": lambda: wreath_bipartite(3),
+    "dihedral(5)": lambda: dihedral(5),
+    "dihedral(8)": lambda: dihedral(8),
+    "dihedral(12)": lambda: dihedral(12),
+}
 
 
 def test_trivial_group():
@@ -65,3 +88,27 @@ def test_budget_cap():
         enumerate_subgroups(sym(6))
     with pytest.raises(BudgetExceeded):
         enumerate_subgroups(sym(4), max_order=10)
+
+
+@pytest.mark.parametrize("name", list(ORACLE_GROUPS))
+def test_matches_brute_oracle_exactly(name):
+    group = ORACLE_GROUPS[name]()
+    fast = enumerate_subgroups(group)
+    slow = brute_subgroups(group)
+    assert [(s.degree, s.generators) for s in fast] == \
+        [(s.degree, s.generators) for s in slow]
+
+
+@pytest.mark.parametrize("group, count", [
+    (sym(4), 30),
+    (sym(5), 156),
+    (alt(5), 59),
+])
+def test_known_subgroup_counts(group, count):
+    assert len(enumerate_subgroups(group)) == count
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 8, 9, 12, 15])
+def test_dihedral_count_is_tau_plus_sigma(n):
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    assert len(enumerate_subgroups(dihedral(n))) == len(divisors) + sum(divisors)
