@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import ParameterError, SizeCapExceeded
+from .errors import InternalCheckFailed, ParameterError, SizeCapExceeded
 from .graph6 import encode_graph6
 from .graphs import Graph
 from .group import PermutationGroup
@@ -248,8 +248,9 @@ class IsomorphismResult:
         return self.isomorphic
 
 
-def is_isomorphic(g1: Graph, g2: Graph) -> IsomorphismResult:
-    """Canonical-form equality, with an edge-validated witness mapping."""
+def _cheap_verdict(g1: Graph, g2: Graph) -> IsomorphismResult | None:
+    """The verdict when the cheap invariants decide it (vertex count, edge
+    count, degree sequence, or no vertices at all), else ``None``."""
     _check_cap(g1)
     _check_cap(g2)
     if g1.n != g2.n or g1.edge_count() != g2.edge_count():
@@ -258,8 +259,12 @@ def is_isomorphic(g1: Graph, g2: Graph) -> IsomorphismResult:
         return IsomorphismResult(False)
     if g1.n == 0:
         return IsomorphismResult(True, ())
+    return None
+
+
+def _witness(g1: Graph, g2: Graph, form2) -> IsomorphismResult:
     c1, l1 = canonical_form(g1)
-    c2, l2 = canonical_form(g2)
+    c2, l2 = form2
     if c1 != c2:
         return IsomorphismResult(False)
     inverse2 = Permutation(l2).inverse()
@@ -267,6 +272,24 @@ def is_isomorphic(g1: Graph, g2: Graph) -> IsomorphismResult:
     for u in range(g1.n):
         for w in g1.adjacency[u]:
             if not g2.has_edge(mapping[u], mapping[w]):  # pragma: no cover
-                raise AssertionError("canonical forms matched but witness failed")
-    assert sorted(mapping) == list(range(g1.n))
+                raise InternalCheckFailed("canonical forms matched but witness failed")
+    if sorted(mapping) != list(range(g1.n)):  # pragma: no cover
+        raise InternalCheckFailed("isomorphism witness is not a bijection")
     return IsomorphismResult(True, mapping)
+
+
+def is_isomorphic(g1: Graph, g2: Graph) -> IsomorphismResult:
+    """Canonical-form equality, with an edge-validated witness mapping."""
+    settled = _cheap_verdict(g1, g2)
+    if settled is not None:
+        return settled
+    return _witness(g1, g2, canonical_form(g2))
+
+
+def is_isomorphic_given_form(g1: Graph, g2: Graph, form2) -> IsomorphismResult:
+    """``is_isomorphic(g1, g2)`` where ``form2`` is ``canonical_form(g2)``,
+    computed once by a caller that tests many graphs against ``g2``."""
+    settled = _cheap_verdict(g1, g2)
+    if settled is not None:
+        return settled
+    return _witness(g1, g2, form2)

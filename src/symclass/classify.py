@@ -7,14 +7,20 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import permutations as _permutations
+from functools import cache
 
-from .actions import induced_action, kernel_of_action, transitivity_degree_tests
-from .autgroup import is_isomorphic
+from .actions import (
+    TransitivityDegrees,
+    induced_action,
+    kernel_of_action,
+    transitivity_degree_tests,
+)
+from .autgroup import canonical_form, is_isomorphic_given_form
 from .errors import (
     CompleteGraphError,
     DegreeMismatch,
     DisconnectedGraph,
+    InternalCheckFailed,
     InvalidGraph,
     InvariantCellError,
     NotAnAutomorphismGroup,
@@ -86,6 +92,10 @@ def is_s_distance_transitive(g: Graph, group: PermutationGroup, s: int) -> Trans
     """Vertex transitivity plus a single stabilizer orbit on each distance
     layer up to s (checked at base vertex 0; conjugacy covers the rest)."""
     _validate_pair(g, group)
+    return _distance_transitivity(g, group, s)
+
+
+def _distance_transitivity(g: Graph, group: PermutationGroup, s: int) -> TransitivityCheck:
     if s < 1:
         raise ParameterError("s must be at least 1")
     if not group.is_transitive():
@@ -136,21 +146,33 @@ def is_s_arc_transitive(g: Graph, group: PermutationGroup, s: int) -> Transitivi
     on the neighbors) is computed as well; the two answers must agree.
     """
     _validate_pair(g, group)
+    return _arc_transitivity(g, group, s)[0]
+
+
+def _arc_transitivity(g: Graph, group: PermutationGroup, s: int
+                      ) -> tuple[TransitivityCheck, TransitivityDegrees | None]:
+    """The s-arc verdict, and for s = 2 the transitivity flags of the
+    neighborhood action at vertex 0 (``None`` when they were not needed:
+    the group is intransitive or the valency is below 2)."""
     if s not in (1, 2, 3):
         raise ParameterError("s must be 1, 2 or 3")
     if not group.is_transitive():
-        return TransitivityCheck(False, "not vertex-transitive")
+        return TransitivityCheck(False, "not vertex-transitive"), None
     arcs = enumerate_s_arcs(g, s)
     if not arcs:
-        return TransitivityCheck(False, f"the graph has no {s}-arcs")
+        return TransitivityCheck(False, f"the graph has no {s}-arcs"), None
     orbit_size = _tuple_orbit_size(group.generators, arcs[0])
     ok = orbit_size == len(arcs)
     evidence = {"arc_count": len(arcs), "orbit_size": orbit_size}
+    flags = None
     if s == 2 and g.degree(0) >= 2:
         flags = transitivity_degree_tests(neighborhood_action(g, group, 0))
         evidence["stabilizer_two_transitive_on_neighbors"] = flags.two_transitive
-        assert flags.two_transitive == ok, "2-arc criteria disagree"
-    return TransitivityCheck(ok, None if ok else "multiple orbits on arcs", evidence)
+        if flags.two_transitive != ok:
+            raise InternalCheckFailed(
+                "2-arc criteria disagree: one orbit on 2-arcs is "
+                f"{ok}, stabilizer 2-transitive on the neighbors is {flags.two_transitive}")
+    return TransitivityCheck(ok, None if ok else "multiple orbits on arcs", evidence), flags
 
 
 def is_2_geodesic_transitive(g: Graph, group: PermutationGroup) -> TransitivityCheck:
@@ -158,7 +180,12 @@ def is_2_geodesic_transitive(g: Graph, group: PermutationGroup) -> TransitivityC
     _validate_pair(g, group)
     if is_complete(g):
         raise CompleteGraphError("complete graphs have no 2-geodesics")
-    at1 = is_s_arc_transitive(g, group, 1)
+    return _geodesic_transitivity(g, group, _arc_transitivity(g, group, 1)[0])
+
+
+def _geodesic_transitivity(g: Graph, group: PermutationGroup,
+                           at1: TransitivityCheck) -> TransitivityCheck:
+    """The 2-geodesic verdict for a non-complete graph, given its 1-arc verdict."""
     if not at1:
         return TransitivityCheck(False, "not arc-transitive", at1.evidence)
     geodesics = [t for t in enumerate_s_arcs(g, 2) if not g.has_edge(t[0], t[2])]
@@ -283,41 +310,60 @@ TABLE_ROWS = (
 )
 
 
+# the constructors are looked up when a reference is first needed, so a test
+# that replaces one in this module sees every later build
+_REFERENCE_FAMILIES = {
+    ROW_GRID_COMPLEMENT_4: lambda: grid_complement(4),
+    ROW_OCTAHEDRON: lambda: octahedron(),
+    ROW_HAMMING_2_3: lambda: hamming(2, 3),
+    ROW_GRID_COMPLEMENT_5: lambda: grid_complement(5),
+    ROW_ICOSAHEDRON: lambda: icosahedron(),
+    ROW_GRID_COMPLEMENT_6: lambda: grid_complement(6),
+}
+
+
+@cache
+def _reference(row: str) -> tuple:
+    """The family graph of a catalog row and its canonical form. Built on
+    first use, not at import, and kept for the life of the process."""
+    graph = _REFERENCE_FAMILIES[row]().graph
+    return graph, canonical_form(graph)
+
+
+def _match_reference(g: Graph, row: str):
+    graph, form = _reference(row)
+    return is_isomorphic_given_form(g, graph, form)
+
+
 def _transport(group: PermutationGroup, mapping: tuple) -> PermutationGroup:
     return group.relabeled(Permutation(mapping))
 
 
 def _match_grid_row(g: Graph, group: PermutationGroup, m: int) -> str | None:
-    reference = grid_complement(m)
-    iso = is_isomorphic(g, reference.graph)
+    row = f"grid_complement({m})"
+    iso = _match_reference(g, row)
     if not iso:
         return None
     if check_condition_3_1(_transport(group, iso.mapping), m).satisfied:
-        return f"grid_complement({m})"
+        return row
     return None
 
 
 def _match_octahedron(g: Graph, group: PermutationGroup) -> str | None:
-    reference = octahedron()
-    iso = is_isomorphic(g, reference.graph)
-    if not iso:
-        return None
-    transported = _transport(group, iso.mapping)
-    if transported.order() not in (24, 48):
+    iso = _match_reference(g, ROW_OCTAHEDRON)
+    # conjugation preserves the order, so the input group's cached chain answers
+    if not iso or group.order() not in (24, 48):
         return None
     blocks = [{0, 3}, {1, 4}, {2, 5}]
-    projection, _ = induced_action(transported, blocks)
+    projection, _ = induced_action(_transport(group, iso.mapping), blocks)
     return ROW_OCTAHEDRON if projection.order() == 6 else None
 
 
 def _match_hamming23(g: Graph, group: PermutationGroup) -> str | None:
-    reference = hamming(2, 3)
-    iso = is_isomorphic(g, reference.graph)
-    if not iso:
+    iso = _match_reference(g, ROW_HAMMING_2_3)
+    if not iso or group.order() not in (36, 72):
         return None
     transported = _transport(group, iso.mapping)
-    if transported.order() not in (36, 72):
-        return None
     # the six triangles split into the two parallel classes (rows / columns);
     # the row condition asks for an element swapping the classes
     rows = [frozenset({3 * i + j for j in range(3)}) for i in range(3)]
@@ -331,24 +377,18 @@ def _match_hamming23(g: Graph, group: PermutationGroup) -> str | None:
     return None
 
 
-def _match_line_graph_row(g: Graph, group: PermutationGroup) -> str | None:
-    dp = distance_partition(g, 0)
-    if len(dp.layer(2)) != 8:
-        return None
-    if is_2_geodesic_transitive(g, group):
-        return ROW_LINE_GRAPH
-    return None
+def _match_line_graph_row(second_layer_size: int, gt2: bool) -> str | None:
+    return ROW_LINE_GRAPH if second_layer_size == 8 and gt2 else None
 
 
 def _match_icosahedron(g: Graph, group: PermutationGroup) -> str | None:
-    reference = icosahedron()
-    iso = is_isomorphic(g, reference.graph)
-    if not iso:
+    if not _match_reference(g, ROW_ICOSAHEDRON):
         return None
     return ROW_ICOSAHEDRON if group.order() in (60, 120) else None
 
 
-def _match_table_row(g: Graph, group: PermutationGroup, valency: int, girth_value) -> str | None:
+def _match_table_row(g: Graph, group: PermutationGroup, valency: int, girth_value,
+                     second_layer_size: int, gt2: bool) -> str | None:
     if (valency, girth_value) == (3, 4):
         return _match_grid_row(g, group, 4)
     if (valency, girth_value) == (4, 4):
@@ -358,7 +398,7 @@ def _match_table_row(g: Graph, group: PermutationGroup, valency: int, girth_valu
     if (valency, girth_value) == (4, 3):
         return (_match_octahedron(g, group)
                 or _match_hamming23(g, group)
-                or _match_line_graph_row(g, group))
+                or _match_line_graph_row(second_layer_size, gt2))
     if (valency, girth_value) == (5, 3):
         return _match_icosahedron(g, group)
     return None
@@ -413,9 +453,11 @@ def classify_pair(g: Graph, group: PermutationGroup) -> TransitivityReport:
     valency = g.valency()
     girth_value = girth(g)
     complete_graph = is_complete(g)
-    dt = {s: is_s_distance_transitive(g, group, s) for s in (1, 2)}
-    at = {s: is_s_arc_transitive(g, group, s) for s in (1, 2)}
-    gt2 = None if complete_graph else bool(is_2_geodesic_transitive(g, group))
+    dt = {s: _distance_transitivity(g, group, s) for s in (1, 2)}
+    at1, _ = _arc_transitivity(g, group, 1)
+    at2, neighbor_flags = _arc_transitivity(g, group, 2)
+    at = {1: at1, 2: at2}
+    gt2 = None if complete_graph else bool(_geodesic_transitivity(g, group, at1))
     inter = intersection_numbers(g, 0)
     dp = distance_partition(g, 0)
 
@@ -427,23 +469,9 @@ def classify_pair(g: Graph, group: PermutationGroup) -> TransitivityReport:
         if dp.layer(2):
             neighborhood["orbits_on_second_layer"] = _orbit_counts_within(stab, dp.layer(2))
         if valency >= 2:
-            restricted = neighborhood_action(g, group, 0)
-            pair_orbits = 0
-            seen: set = set()
-            for pair in _permutations(range(valency), 2):
-                if pair in seen:
-                    continue
-                pair_orbits += 1
-                queue = deque([pair])
-                seen.add(pair)
-                while queue:
-                    current = queue.popleft()
-                    for p in restricted.generators:
-                        image = (p.images[current[0]], p.images[current[1]])
-                        if image not in seen:
-                            seen.add(image)
-                            queue.append(image)
-            neighborhood["orbits_on_ordered_neighbor_pairs"] = pair_orbits
+            # the 2-arc check computed the neighborhood action's flags exactly
+            # when the group is vertex-transitive and the valency is at least 2
+            neighborhood["orbits_on_ordered_neighbor_pairs"] = neighbor_flags.ordered_pair_orbits
 
     girth5_applicable = girth_value >= 5 and bool(dt[2])
     girth3_applicable = girth_value == 3 and not complete_graph
@@ -460,7 +488,8 @@ def classify_pair(g: Graph, group: PermutationGroup) -> TransitivityReport:
 
     matched = None
     if bool(dt[2]) and not bool(at[2]) and valency <= 5 and not complete_graph:
-        matched = _match_table_row(g, group, valency, girth_value) or "VIOLATION"
+        matched = _match_table_row(g, group, valency, girth_value,
+                                   len(dp.layer(2)), gt2) or "VIOLATION"
 
     return TransitivityReport(
         vertex_count=g.n,

@@ -71,3 +71,10 @@ class UnknownFamily(SymclassError):
 
 class UnknownClaim(SymclassError):
     code = "unknown-claim"
+
+
+class InternalCheckFailed(SymclassError):
+    """Two independent computations of the same fact disagree: a defect in
+    the library, not in the input."""
+
+    code = "internal-check-failed"

@@ -199,8 +199,9 @@ class PermutationGroup:
 
     @property
     def chain(self) -> StabilizerChain:
+        """The stabilizer chain, based at point 0 so that ``G_0`` can be read off it."""
         if self._chain is None:
-            self._chain = StabilizerChain(self.degree, self.generators)
+            self._chain = StabilizerChain(self.degree, self.generators, base_prefix=(0,))
         return self._chain
 
     def order(self) -> int:
@@ -240,7 +241,10 @@ class PermutationGroup:
         return len(self.orbit(0)) == self.degree
 
     def point_stabilizer(self, x: int) -> "PermutationGroup":
-        """The stabilizer of ``x``, from a chain whose base starts at ``x``."""
+        """The stabilizer of ``x``, from a chain whose base starts at ``x``
+        (for ``x = 0`` the group's own chain)."""
+        if x == 0:
+            return PermutationGroup(self.degree, self.chain.strong_generators(1))
         chain = StabilizerChain(self.degree, self.generators, base_prefix=(x,))
         return PermutationGroup(self.degree, chain.strong_generators(chain.prefix_length))
 

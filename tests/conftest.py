@@ -1,11 +1,29 @@
-"""Shared brute-force oracles, kept independent of the library's fast paths."""
+"""Shared brute-force oracles, kept independent of the library's fast paths,
+and a work counter for the stabilizer-chain layer."""
 
 from __future__ import annotations
 
 from collections import deque
 from itertools import permutations
 
-from symclass import Graph, Permutation, PermutationGroup
+import pytest
+
+from symclass import Graph, Permutation, PermutationGroup, StabilizerChain
+
+
+@pytest.fixture
+def chain_builds(monkeypatch) -> list:
+    """The generator tuple of every ``StabilizerChain`` built during the test."""
+    built = []
+    original = StabilizerChain.__init__
+
+    def counting(self, degree, generators, base_prefix=()):
+        generators = tuple(generators)
+        built.append(generators)
+        original(self, degree, generators, base_prefix)
+
+    monkeypatch.setattr(StabilizerChain, "__init__", counting)
+    return built
 
 
 def brute_closure(gens):

@@ -1,7 +1,12 @@
+import dataclasses
+import random
+
 import pytest
 
 from conftest import brute_is_2dt
 
+import symclass.autgroup as autgroup_module
+import symclass.classify as classify_module
 from symclass import (
     PermutationGroup,
     check_condition_3_1,
@@ -9,12 +14,16 @@ from symclass import (
     classify_pair,
     edge_action,
     is_2_geodesic_transitive,
+    is_isomorphic,
     is_s_arc_transitive,
     is_s_distance_transitive,
     line_graph,
 )
+from symclass.autgroup import is_isomorphic_given_form
 from symclass.classify import (
     ROW_GRID_COMPLEMENT_4,
+    ROW_GRID_COMPLEMENT_5,
+    ROW_GRID_COMPLEMENT_6,
     ROW_HAMMING_2_3,
     ROW_ICOSAHEDRON,
     ROW_LINE_GRAPH,
@@ -24,6 +33,7 @@ from symclass.errors import (
     CompleteGraphError,
     DegreeMismatch,
     DisconnectedGraph,
+    InternalCheckFailed,
     InvariantCellError,
     NotAnAutomorphismGroup,
 )
@@ -53,6 +63,7 @@ from symclass.families import (
     wreath_hamming,
 )
 from symclass.graphs import Graph
+from symclass.perm import Permutation
 
 
 def test_octahedron_full_group_is_2dt_not_2at():
@@ -236,3 +247,90 @@ def test_report_serializes():
     assert data["distance_transitive"]["2"] is True
     import json
     json.dumps(data)  # must be JSON-serializable
+
+
+def _relabeled(graph, group, seed):
+    phi = Permutation(random.Random(seed).sample(range(graph.n), graph.n))
+    return graph.relabel(phi), group.relabeled(phi)
+
+
+def _catalog_rows():
+    petersen_graph = petersen().graph
+    return [
+        (ROW_GRID_COMPLEMENT_4, grid_complement(4).graph, direct_product(sym(2), alt(4))),
+        (ROW_OCTAHEDRON, octahedron().graph, octahedral()),
+        (ROW_HAMMING_2_3, hamming(2, 3).graph, hamming_full(2, 3)),
+        (ROW_LINE_GRAPH, line_graph(petersen_graph)[0],
+         edge_action(petersen_sym5(), petersen_graph)),
+        (ROW_GRID_COMPLEMENT_5, grid_complement(5).graph, direct_product(sym(2), agl1(5))),
+        (ROW_ICOSAHEDRON, icosahedron().graph, icosahedral_rotations()),
+        (ROW_GRID_COMPLEMENT_6, grid_complement(6).graph, direct_product(sym(2), psl25())),
+    ]
+
+
+_FRESH_REFERENCES = {
+    ROW_GRID_COMPLEMENT_4: lambda: grid_complement(4),
+    ROW_OCTAHEDRON: octahedron,
+    ROW_HAMMING_2_3: lambda: hamming(2, 3),
+    ROW_GRID_COMPLEMENT_5: lambda: grid_complement(5),
+    ROW_ICOSAHEDRON: icosahedron,
+    ROW_GRID_COMPLEMENT_6: lambda: grid_complement(6),
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_cached_references_match_like_fresh_ones(seed):
+    for row, graph, group in _catalog_rows():
+        g, relabeled_group = _relabeled(graph, group, seed)
+        assert classify_pair(g, relabeled_group).matched_row == row
+        for ref_row, family in _FRESH_REFERENCES.items():
+            cached = is_isomorphic_given_form(g, *classify_module._reference(ref_row))
+            assert cached == is_isomorphic(g, family().graph)
+            assert bool(cached) == (ref_row == row)
+
+
+def test_reference_is_built_once_per_process(monkeypatch):
+    graph, group = _relabeled(grid_complement(5).graph,
+                              direct_product(sym(2), agl1(5)), seed=11)
+    assert classify_pair(graph, group).matched_row == ROW_GRID_COMPLEMENT_5
+    built = []
+    monkeypatch.setattr(classify_module, "grid_complement", lambda m: built.append(m))
+    canonical = []
+    real_canonical_form = autgroup_module.canonical_form
+
+    def recording(g):
+        canonical.append(g)
+        return real_canonical_form(g)
+
+    monkeypatch.setattr(classify_module, "canonical_form", recording)
+    monkeypatch.setattr(autgroup_module, "canonical_form", recording)
+    assert classify_pair(graph, group).matched_row == ROW_GRID_COMPLEMENT_5
+    assert built == []
+    assert len(canonical) == 1 and canonical[0] is graph
+
+
+def test_classify_pair_builds_one_chain_on_the_input_group(chain_builds):
+    built = wreath_hamming(sym(3), 3)
+    # a fresh group: the constructor's order check already built a chain on its own
+    group = PermutationGroup(built.degree, built.generators)
+    graph = hamming(3, 2).graph
+    chain_builds.clear()
+    report = classify_pair(graph, group)
+    assert report.group_order == 48
+    assert chain_builds.count(group.generators) == 1
+
+
+def test_two_arc_cross_check_raises_a_coded_error(monkeypatch):
+    real = classify_module.transitivity_degree_tests
+
+    def wrong_flag(group):
+        flags = real(group)
+        return dataclasses.replace(flags, two_transitive=not flags.two_transitive)
+
+    monkeypatch.setattr(classify_module, "transitivity_degree_tests", wrong_flag)
+    graph, group = octahedron().graph, octahedral()
+    with pytest.raises(InternalCheckFailed, match="2-arc criteria disagree") as info:
+        is_s_arc_transitive(graph, group, 2)
+    assert info.value.code == "internal-check-failed"
+    with pytest.raises(InternalCheckFailed):
+        classify_pair(graph, group)

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from symclass import decode_graph6, encode_graph6, parse_generator_file
+import symclass
+from symclass import decode_graph6, encode_graph6, format_generator_file, parse_generator_file
 from symclass.cli import main
-from symclass.families import grid_complement, hamming, octahedron
+from symclass.families import agl1, direct_product, grid_complement, hamming, octahedron, sym
 
 
 def run_cli(capsys, *argv):
@@ -83,6 +88,22 @@ def test_classify_from_edge_file_round_trips_construct(tmp_path, capsys):
                            "--group", "octahedral")
     assert code == 0
     assert json.loads(out)["matched_row"] == "octahedron"
+
+
+def test_classify_output_is_the_same_under_python_O(tmp_path):
+    # -O strips assert statements; the checks inside classify must not depend on them
+    group_file = tmp_path / "gens.txt"
+    group_file.write_text(format_generator_file(direct_product(sym(2), agl1(5))))
+    src = str(Path(symclass.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    argv = ["-m", "symclass.cli", "classify", "--family", "grid_complement", "--m", "5",
+            "--group-file", str(group_file)]
+    outputs = [subprocess.run([sys.executable, *flags, *argv], capture_output=True, text=True,
+                              env=env, check=True, timeout=120).stdout
+               for flags in (["-O"], [])]
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["matched_row"] == "grid_complement(5)"
 
 
 def test_edge_file_parse_error_reports_line(tmp_path, capsys):

@@ -5,6 +5,7 @@ from conftest import brute_closure, brute_order
 from symclass import (
     Permutation,
     PermutationGroup,
+    StabilizerChain,
     format_generator_file,
     parse_generator_file,
 )
@@ -110,6 +111,43 @@ def test_point_stabilizer_hamming_wreath():
     assert group.order() == 2688
     stab = group.point_stabilizer(0)
     assert stab.order() == 21  # 2688 / 128
+
+
+@pytest.mark.parametrize("factory,expected", CHAIN_BATTERY + [
+    # the first generator fixes 0, so basing the chain at 0 changes its base
+    pytest.param(lambda: PermutationGroup(5, [Permutation.from_cycles(5, [(1, 2)]),
+                                              Permutation.from_cycles(5, [(0, 1, 2, 3, 4)])]),
+                 120, id="first-generator-fixes-0"),
+])
+def test_point_stabilizer_of_0_is_read_off_the_chain(factory, expected, chain_builds):
+    built = factory()
+    group = PermutationGroup(built.degree, built.generators)
+    assert group.order() == expected
+    chain_builds.clear()
+    stab = group.point_stabilizer(0)
+    assert chain_builds == []
+    # the generators a chain built afresh with base prefix (0,) gives
+    fresh = StabilizerChain(group.degree, group.generators, base_prefix=(0,))
+    assert stab.generators == tuple(fresh.strong_generators(1))
+    assert all(g.images[0] == 0 for g in stab.generators)
+    assert stab.order() == brute_order(stab.generators) == expected // len(group.orbit(0))
+
+
+def test_point_stabilizer_of_0_in_a_group_fixing_0():
+    group = PermutationGroup(4, [Permutation.from_cycles(4, [(1, 2, 3)]),
+                                 Permutation.from_cycles(4, [(1, 2)])])
+    stab = group.point_stabilizer(0)
+    assert stab.same_group(group)
+    assert stab.order() == group.order() == 6
+
+
+def test_elements_do_not_depend_on_the_generator_order():
+    # the first generator fixes 0 in one group and moves it in the other
+    swap = Permutation.from_cycles(5, [(1, 2)])
+    cycle5 = Permutation.from_cycles(5, [(0, 1, 2, 3, 4)])
+    a = PermutationGroup(5, [swap, cycle5])
+    b = PermutationGroup(5, [cycle5, swap])
+    assert a.elements() == b.elements() == sorted(brute_closure([swap, cycle5]))
 
 
 def test_pointwise_stabilizer():
