@@ -4,8 +4,10 @@ graphs (n <= 64).
 The engine is individualization-refinement: colorings are refined to
 equitable partitions, backtracking branches on the first smallest
 non-singleton cell, and orbits of already-found automorphisms prune sibling
-branches. Canonical form is the minimal graph6 string over the (pruned)
-search tree, so equal canonical forms characterize isomorphism.
+branches. The automorphism search refines its identity branch once and
+refines every candidate branch against the recorded rounds. Canonical form
+is the minimal graph6 string over the (pruned) search tree, so equal
+canonical forms characterize isomorphism.
 """
 
 from __future__ import annotations
@@ -28,30 +30,42 @@ def _check_cap(g: Graph) -> None:
             f"graph has {g.n} vertices; the search is capped at {SIZE_CAP}")
 
 
-def _refine_pair(g1: Graph, g2: Graph, c1: list, c2: list):
-    """Jointly refine two colorings to equitable ones with shared color ids.
+def _signatures(g: Graph, colors: list) -> list:
+    """Per vertex: its color and the sorted colors of its neighbors."""
+    color = colors.__getitem__
+    return [(c, tuple(sorted(map(color, nbrs)))) for c, nbrs in zip(colors, g.adjacency)]
 
-    Returns ``None`` as soon as the color histograms diverge (the colorings
-    cannot belong to isomorphic colored graphs).
+
+def _refine(g: Graph, colors: list, rounds: list | None = None) -> list:
+    """Refine a coloring to the coarsest equitable one below it.
+
+    Each round renumbers every vertex by the rank of its signature. A round
+    that splits no cell ends refinement: the next one could only renumber
+    the same cells in the same order. When ``rounds`` is given, every round's
+    rank table and sorted color list are appended to it, so that another
+    coloring can be refined in lockstep (``_refine_against``).
     """
+    cells = len(set(colors))
     while True:
-        s1 = [(c1[v], tuple(sorted(c1[w] for w in g1.adjacency[v])))
-              for v in range(g1.n)]
-        s2 = [(c2[v], tuple(sorted(c2[w] for w in g2.adjacency[v])))
-              for v in range(g2.n)]
-        if sorted(s1) != sorted(s2):
+        sigs = _signatures(g, colors)
+        rank = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+        colors = [rank[s] for s in sigs]
+        if rounds is not None:
+            rounds.append((rank, sorted(colors)))
+        if len(rank) == cells:
+            return colors
+        cells = len(rank)
+
+
+def _refine_against(g: Graph, rounds: list, colors: list):
+    """Refine ``colors`` round by round with the rank tables of another
+    coloring's refinement, or ``None`` as soon as a round's color histogram
+    differs from the recorded one (the colored graphs cannot be isomorphic)."""
+    for rank, histogram in rounds:
+        colors = list(map(rank.get, _signatures(g, colors)))
+        if None in colors or sorted(colors) != histogram:
             return None
-        rank = {sig: i for i, sig in enumerate(sorted(set(s1)))}
-        n1 = [rank[s] for s in s1]
-        n2 = [rank[s] for s in s2]
-        if n1 == c1 and n2 == c2:
-            return c1, c2
-        c1, c2 = n1, n2
-
-
-def _refine_single(g: Graph, colors: list) -> list:
-    refined = _refine_pair(g, g, list(colors), list(colors))
-    return refined[0]
+    return colors
 
 
 def _distances_from_set(g: Graph, sources: list) -> list:
@@ -69,76 +83,74 @@ def _distances_from_set(g: Graph, sources: list) -> list:
     return dist
 
 
-def _base_colors(g1: Graph, g2: Graph):
+def _base_colors(g: Graph) -> list:
     """Initial invariant: degree and neighbor-degree multiset, strengthened by
     the distance profile to the first color class, then refined to equitable."""
-    def start(g):
-        deg = [len(g.adjacency[v]) for v in range(g.n)]
-        return [(deg[v], tuple(sorted(deg[w] for w in g.adjacency[v])))
-                for v in range(g.n)]
-
-    s1, s2 = start(g1), start(g2)
-    if sorted(s1) != sorted(s2):
-        return None
-    rank = {sig: i for i, sig in enumerate(sorted(set(s1)))}
-    c1 = [rank[s] for s in s1]
-    c2 = [rank[s] for s in s2]
-    refined = _refine_pair(g1, g2, c1, c2)
-    if refined is None:
-        return None
-    c1, c2 = refined
-    d1 = _distances_from_set(g1, [v for v in range(g1.n) if c1[v] == 0])
-    d2 = _distances_from_set(g2, [v for v in range(g2.n) if c2[v] == 0])
-    p1 = [(c1[v], d1[v]) for v in range(g1.n)]
-    p2 = [(c2[v], d2[v]) for v in range(g2.n)]
-    if sorted(p1) != sorted(p2):
-        return None
-    rank = {sig: i for i, sig in enumerate(sorted(set(p1) | set(p2)))}
-    return _refine_pair(g1, g2, [rank[s] for s in p1], [rank[s] for s in p2])
+    deg = [len(nbrs) for nbrs in g.adjacency]
+    start = [(deg[v], tuple(sorted(deg[w] for w in g.adjacency[v]))) for v in range(g.n)]
+    rank = {sig: i for i, sig in enumerate(sorted(set(start)))}
+    colors = _refine(g, [rank[s] for s in start])
+    dist = _distances_from_set(g, [v for v in range(g.n) if colors[v] == 0])
+    profile = [(colors[v], dist[v]) for v in range(g.n)]
+    rank = {sig: i for i, sig in enumerate(sorted(set(profile)))}
+    return _refine(g, [rank[s] for s in profile])
 
 
-def _cells_by_color(colors: list) -> dict:
+def _branch_cell(colors: list):
+    """``(color, members)`` of the first smallest non-singleton cell (smallest
+    size, then smallest color), members ascending; ``None`` when discrete."""
     cells: dict[int, list] = {}
     for v, c in enumerate(colors):
         cells.setdefault(c, []).append(v)
-    return cells
-
-
-def _branch_color(cells: dict):
-    """First smallest non-singleton cell (smallest size, then smallest color)."""
     best = None
     for color in sorted(cells):
-        if len(cells[color]) > 1 and (best is None or len(cells[color]) < len(cells[best])):
-            best = color
+        members = cells[color]
+        if len(members) > 1 and (best is None or len(members) < len(best[1])):
+            best = (color, members)
     return best
 
 
-def _search_map(g1: Graph, g2: Graph, c1: list, c2: list, next_color: int):
-    """First color-respecting isomorphism g1 -> g2 extending the colorings."""
-    refined = _refine_pair(g1, g2, c1, c2)
-    if refined is None:
+def _identity_path(g: Graph, colors: list) -> list:
+    """The identity branch of the refinement tree below the equitable
+    coloring ``colors``: at each depth the smallest vertex of the branch cell
+    is individualized with color ``n + depth``. One entry per depth:
+    ``(rounds, colors, branch)``, where ``rounds`` is the refinement that led
+    there and ``branch`` is ``_branch_cell(colors)``, ``None`` at the leaf."""
+    path = [([], colors, _branch_cell(colors))]
+    while path[-1][2] is not None:
+        _, colors, (_, cell) = path[-1]
+        individualized = list(colors)
+        individualized[cell[0]] = g.n + len(path) - 1
+        rounds: list = []
+        colors = _refine(g, individualized, rounds)
+        path.append((rounds, colors, _branch_cell(colors)))
+    return path
+
+
+def _search_map(g: Graph, path: list, depth: int, colors: list):
+    """First automorphism mapping the identity branch at ``depth`` onto the
+    branch of ``colors`` (a coloring individualized like the identity branch's
+    parent level), trying candidate images in ascending order; or ``None``."""
+    rounds, left, branch = path[depth]
+    colors = _refine_against(g, rounds, colors)
+    if colors is None:
         return None
-    c1, c2 = refined
-    cells1 = _cells_by_color(c1)
-    branch = _branch_color(cells1)
     if branch is None:
-        cells2 = _cells_by_color(c2)
-        mapping = [0] * g1.n
-        for color, members in cells1.items():
-            mapping[members[0]] = cells2[color][0]
-        for u in range(g1.n):
-            for w in g1.adjacency[u]:
-                if not g2.has_edge(mapping[u], mapping[w]):
+        # both colorings are discrete: vertex v goes to the vertex of its color
+        position = [0] * g.n
+        for v, c in enumerate(colors):
+            position[c] = v
+        mapping = [position[c] for c in left]
+        for u in range(g.n):
+            for w in g.adjacency[u]:
+                if not g.has_edge(mapping[u], mapping[w]):
                     return None
         return mapping
-    cells2 = _cells_by_color(c2)
-    a = min(cells1[branch])
-    for b in sorted(cells2[branch]):
-        n1 = list(c1)
-        n2 = list(c2)
-        n1[a] = next_color
-        n2[b] = next_color
-        result = _search_map(g1, g2, n1, n2, next_color + 1)
+    color = branch[0]
+    for y in [v for v, c in enumerate(colors) if c == color]:
+        individualized = list(colors)
+        individualized[y] = g.n + depth
+        result = _search_map(g, path, depth + 1, individualized)
         if result is not None:
             return result
     return None
@@ -157,45 +169,43 @@ def _orbit_under(gens: list, x: int) -> set:
     return orbit
 
 
-def automorphism_group(g: Graph) -> PermutationGroup:
-    """Generators of the full automorphism group.
+def _automorphisms(g: Graph, base: list) -> list[Permutation]:
+    """Generators of Aut(g) from the equitable base coloring ``base``.
 
     Walks the identity branch of the refinement tree; at each level it finds,
     for every candidate image of the branch vertex not yet covered by known
     automorphisms, one automorphism realizing it. The found elements are coset
-    representatives along a stabilizer chain, so they generate the group.
+    representatives along a stabilizer chain, so they generate the group. The
+    identity branch is refined once; every candidate is refined against it.
     """
+    path = _identity_path(g, base)
+    gens: list[Permutation] = []
+    prefix: list[int] = []
+    for depth, (_, colors, branch) in enumerate(path[:-1]):
+        b, *candidates = branch[1]
+        covered = None
+        for y in candidates:
+            if covered is None:
+                fixing = [p for p in gens if all(p.images[q] == q for q in prefix)]
+                covered = _orbit_under(fixing, b)
+            if y in covered:
+                continue
+            individualized = list(colors)
+            individualized[y] = g.n + depth
+            found = _search_map(g, path, depth + 1, individualized)
+            if found is not None:
+                gens.append(Permutation(found))
+                covered = None
+        prefix.append(b)
+    return gens
+
+
+def automorphism_group(g: Graph) -> PermutationGroup:
+    """Generators of the full automorphism group (see ``_automorphisms``)."""
     _check_cap(g)
     if g.n == 0:
         raise ParameterError("automorphism group of the empty graph is undefined")
-    colors = _base_colors(g, g)[0]
-    gens: list[Permutation] = []
-    prefix: list[int] = []
-    next_color = g.n
-    while True:
-        cells = _cells_by_color(colors)
-        branch = _branch_color(cells)
-        if branch is None:
-            break
-        b = min(cells[branch])
-        for y in sorted(cells[branch]):
-            if y == b:
-                continue
-            fixing = [p for p in gens if all(p.images[q] == q for q in prefix)]
-            if y in _orbit_under(fixing, b):
-                continue
-            c1 = list(colors)
-            c2 = list(colors)
-            c1[b] = next_color
-            c2[y] = next_color
-            found = _search_map(g, g, c1, c2, next_color + 1)
-            if found is not None:
-                gens.append(Permutation(found))
-        colors[b] = next_color
-        next_color += 1
-        colors = _refine_single(g, colors)
-        prefix.append(b)
-    return PermutationGroup(g.n, gens)
+    return PermutationGroup(g.n, _automorphisms(g, _base_colors(g)))
 
 
 def canonical_form(g: Graph):
@@ -209,13 +219,12 @@ def canonical_form(g: Graph):
     _check_cap(g)
     if g.n == 0:
         return g, ()
-    aut_gens = list(automorphism_group(g).generators)
-    base = _base_colors(g, g)[0]
+    base = _base_colors(g)
+    aut_gens = _automorphisms(g, base)
     best: dict = {"code": None, "labeling": None}
 
     def descend(colors: list, individualized: list, next_color: int) -> None:
-        cells = _cells_by_color(colors)
-        branch = _branch_color(cells)
+        branch = _branch_cell(colors)
         if branch is None:
             labeling = Permutation(colors)
             code = encode_graph6(g.relabel(labeling))
@@ -226,13 +235,13 @@ def canonical_form(g: Graph):
         fixing = [p for p in aut_gens
                   if all(p.images[q] == q for q in individualized)]
         covered: set = set()
-        for y in sorted(cells[branch]):
+        for y in branch[1]:
             if y in covered:
                 continue
             covered |= _orbit_under(fixing, y)
             refined = list(colors)
             refined[y] = next_color
-            descend(_refine_single(g, refined), individualized + [y], next_color + 1)
+            descend(_refine(g, refined), individualized + [y], next_color + 1)
 
     descend(base, [], g.n)
     labeling = best["labeling"]
@@ -271,7 +280,7 @@ def _witness(g1: Graph, g2: Graph, form2) -> IsomorphismResult:
     mapping = tuple(inverse2.images[l1[v]] for v in range(g1.n))
     for u in range(g1.n):
         for w in g1.adjacency[u]:
-            if not g2.has_edge(mapping[u], mapping[w]):  # pragma: no cover
+            if not g2.has_edge(mapping[u], mapping[w]):
                 raise InternalCheckFailed("canonical forms matched but witness failed")
     if sorted(mapping) != list(range(g1.n)):  # pragma: no cover
         raise InternalCheckFailed("isomorphism witness is not a bijection")

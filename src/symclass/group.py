@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import defaultdict, deque
 
 from .errors import DegreeMismatch, ParameterError, ParseError, SizeCapExceeded
-from .perm import Permutation
+from .perm import Permutation, _compose
 
 _ELEMENTS_CAP = 2_000_000
 
@@ -128,14 +128,18 @@ class StabilizerChain:
     # -- queries -----------------------------------------------------------
 
     def _strip(self, g: Permutation, start: int = 0):
+        """Sift ``g`` from level ``start``: the residue and the level where it
+        left the chain (``len(base)`` when it sifted through). Image tuples are
+        composed directly; only the residue becomes a ``Permutation``."""
+        images = g.images
         i = start
         while i < len(self.base):
-            inv = self._inv[i].get(g.images[self.base[i]])
+            inv = self._inv[i].get(images[self.base[i]])
             if inv is None:
-                return g, i
-            g = g * inv
+                break
+            images = _compose(images, inv.images)
             i += 1
-        return g, i
+        return Permutation._raw(images), i
 
     def order(self) -> int:
         result = 1

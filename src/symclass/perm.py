@@ -10,11 +10,20 @@ from __future__ import annotations
 
 import math
 import re
+from operator import itemgetter
 
 from .errors import DegreeMismatch, NotAPermutation, ParseError
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 _SEP_RE = re.compile(r"[,\s]+")
+
+
+def _compose(a: tuple, b: tuple) -> tuple:
+    """Image tuple of ``a`` followed by ``b`` (both of the same degree)."""
+    if len(a) == 1:
+        # itemgetter with a single index returns the item, not a 1-tuple
+        return (b[a[0]],)
+    return itemgetter(*a)(b)
 
 
 class Permutation:
@@ -107,7 +116,7 @@ class Permutation:
         if len(b) != len(self.images):
             raise DegreeMismatch(
                 f"cannot compose degree {len(self.images)} with degree {len(b)}")
-        return Permutation._raw(tuple(b[i] for i in self.images))
+        return Permutation._raw(_compose(self.images, b))
 
     def __pow__(self, k: int) -> "Permutation":
         if k < 0:
@@ -135,7 +144,7 @@ class Permutation:
         return tuple(i for i, j in enumerate(self.images) if i != j)
 
     def order(self) -> int:
-        return math.lcm(*(len(c) for c in self.cycles())) if self.cycles() else 1
+        return math.lcm(*(len(c) for c in self.cycles()))
 
     def cycles(self) -> list:
         """Nontrivial cycles, each rotated to start at its smallest point."""

@@ -1,5 +1,6 @@
 """Shared brute-force oracles, kept independent of the library's fast paths,
-and a work counter for the stabilizer-chain layer."""
+a reference individualization-refinement search, and a work counter for the
+stabilizer-chain layer."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ from itertools import permutations
 
 import pytest
 
-from symclass import Graph, Permutation, PermutationGroup, StabilizerChain
+from symclass import Graph, Permutation, PermutationGroup, StabilizerChain, encode_graph6
 
 
 @pytest.fixture
@@ -158,3 +159,186 @@ def brute_subgroups(group):
         key=lambda kv: (len(kv[0]), tuple(sorted(elements[i].images for i in kv[0]))))
     return [PermutationGroup(group.degree, tuple(elements[i] for i in gens))
             for _, gens in ordered]
+
+
+# -- reference individualization-refinement ------------------------------------
+#
+# The automorphism search and canonical form as first written: both sides of
+# every comparison are refined from scratch, jointly, in every call, and
+# refinement runs until a round renumbers nothing. The library walks the
+# same search tree with the identity branch refined once per search; the
+# tests require identical generators, canonical forms and labelings.
+
+
+def _reference_refine_pair(g1: Graph, g2: Graph, c1: list, c2: list):
+    while True:
+        s1 = [(c1[v], tuple(sorted(c1[w] for w in g1.adjacency[v])))
+              for v in range(g1.n)]
+        s2 = [(c2[v], tuple(sorted(c2[w] for w in g2.adjacency[v])))
+              for v in range(g2.n)]
+        if sorted(s1) != sorted(s2):
+            return None
+        rank = {sig: i for i, sig in enumerate(sorted(set(s1)))}
+        n1 = [rank[s] for s in s1]
+        n2 = [rank[s] for s in s2]
+        if n1 == c1 and n2 == c2:
+            return c1, c2
+        c1, c2 = n1, n2
+
+
+def _reference_refine_single(g: Graph, colors: list) -> list:
+    return _reference_refine_pair(g, g, list(colors), list(colors))[0]
+
+
+def _reference_distances_from_set(g: Graph, sources: list) -> list:
+    dist = [g.n + 1] * g.n
+    queue = deque(sources)
+    for v in sources:
+        dist[v] = 0
+    while queue:
+        u = queue.popleft()
+        for w in g.adjacency[u]:
+            if dist[w] > dist[u] + 1:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return dist
+
+
+def _reference_base_colors(g1: Graph, g2: Graph):
+    def start(g):
+        deg = [len(g.adjacency[v]) for v in range(g.n)]
+        return [(deg[v], tuple(sorted(deg[w] for w in g.adjacency[v])))
+                for v in range(g.n)]
+
+    s1, s2 = start(g1), start(g2)
+    if sorted(s1) != sorted(s2):
+        return None
+    rank = {sig: i for i, sig in enumerate(sorted(set(s1)))}
+    refined = _reference_refine_pair(g1, g2, [rank[s] for s in s1], [rank[s] for s in s2])
+    if refined is None:
+        return None
+    c1, c2 = refined
+    d1 = _reference_distances_from_set(g1, [v for v in range(g1.n) if c1[v] == 0])
+    d2 = _reference_distances_from_set(g2, [v for v in range(g2.n) if c2[v] == 0])
+    p1 = [(c1[v], d1[v]) for v in range(g1.n)]
+    p2 = [(c2[v], d2[v]) for v in range(g2.n)]
+    if sorted(p1) != sorted(p2):
+        return None
+    rank = {sig: i for i, sig in enumerate(sorted(set(p1) | set(p2)))}
+    return _reference_refine_pair(g1, g2, [rank[s] for s in p1], [rank[s] for s in p2])
+
+
+def _reference_cells(colors: list) -> dict:
+    cells: dict = {}
+    for v, c in enumerate(colors):
+        cells.setdefault(c, []).append(v)
+    return cells
+
+
+def _reference_branch_color(cells: dict):
+    best = None
+    for color in sorted(cells):
+        if len(cells[color]) > 1 and (best is None or len(cells[color]) < len(cells[best])):
+            best = color
+    return best
+
+
+def _reference_search_map(g1: Graph, g2: Graph, c1: list, c2: list, next_color: int):
+    refined = _reference_refine_pair(g1, g2, c1, c2)
+    if refined is None:
+        return None
+    c1, c2 = refined
+    cells1 = _reference_cells(c1)
+    cells2 = _reference_cells(c2)
+    branch = _reference_branch_color(cells1)
+    if branch is None:
+        mapping = [0] * g1.n
+        for color, members in cells1.items():
+            mapping[members[0]] = cells2[color][0]
+        if all(g2.has_edge(mapping[u], mapping[w])
+               for u in range(g1.n) for w in g1.adjacency[u]):
+            return mapping
+        return None
+    a = min(cells1[branch])
+    for b in sorted(cells2[branch]):
+        n1, n2 = list(c1), list(c2)
+        n1[a] = n2[b] = next_color
+        result = _reference_search_map(g1, g2, n1, n2, next_color + 1)
+        if result is not None:
+            return result
+    return None
+
+
+def _reference_orbit(gens: list, x: int) -> set:
+    orbit = {x}
+    queue = deque([x])
+    while queue:
+        a = queue.popleft()
+        for p in gens:
+            if p.images[a] not in orbit:
+                orbit.add(p.images[a])
+                queue.append(p.images[a])
+    return orbit
+
+
+def reference_automorphism_group(g: Graph) -> PermutationGroup:
+    """Generators of Aut(g): one automorphism per candidate image of each
+    identity-branch vertex not covered by the automorphisms already found."""
+    colors = _reference_base_colors(g, g)[0]
+    gens: list = []
+    prefix: list = []
+    next_color = g.n
+    while True:
+        cells = _reference_cells(colors)
+        branch = _reference_branch_color(cells)
+        if branch is None:
+            break
+        b = min(cells[branch])
+        for y in sorted(cells[branch]):
+            if y == b:
+                continue
+            fixing = [p for p in gens if all(p.images[q] == q for q in prefix)]
+            if y in _reference_orbit(fixing, b):
+                continue
+            c1, c2 = list(colors), list(colors)
+            c1[b] = c2[y] = next_color
+            found = _reference_search_map(g, g, c1, c2, next_color + 1)
+            if found is not None:
+                gens.append(Permutation(found))
+        colors[b] = next_color
+        next_color += 1
+        colors = _reference_refine_single(g, colors)
+        prefix.append(b)
+    return PermutationGroup(g.n, gens)
+
+
+def reference_canonical_form(g: Graph):
+    """``(canonical_graph, labeling)``: the minimal graph6 leaf of the search
+    tree pruned by the orbits of the reference automorphism generators."""
+    if g.n == 0:
+        return g, ()
+    aut_gens = list(reference_automorphism_group(g).generators)
+    best: dict = {"code": None, "labeling": None}
+
+    def descend(colors: list, individualized: list, next_color: int) -> None:
+        cells = _reference_cells(colors)
+        branch = _reference_branch_color(cells)
+        if branch is None:
+            labeling = Permutation(colors)
+            code = encode_graph6(g.relabel(labeling))
+            if best["code"] is None or code < best["code"]:
+                best["code"], best["labeling"] = code, labeling
+            return
+        fixing = [p for p in aut_gens if all(p.images[q] == q for q in individualized)]
+        covered: set = set()
+        for y in sorted(cells[branch]):
+            if y in covered:
+                continue
+            covered |= _reference_orbit(fixing, y)
+            refined = list(colors)
+            refined[y] = next_color
+            descend(_reference_refine_single(g, refined), individualized + [y], next_color + 1)
+
+    descend(_reference_base_colors(g, g)[0], [], g.n)
+    labeling = best["labeling"]
+    return g.relabel(labeling), tuple(labeling.images)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import brute_aut_order
+from conftest import brute_aut_order, reference_automorphism_group, reference_canonical_form
 
 from symclass import (
     Graph,
@@ -13,7 +13,8 @@ from symclass import (
     is_isomorphic,
     line_graph,
 )
-from symclass.errors import SizeCapExceeded
+from symclass.autgroup import is_isomorphic_given_form
+from symclass.errors import InternalCheckFailed, SizeCapExceeded
 from symclass.families import (
     complete,
     complete_bipartite,
@@ -113,13 +114,98 @@ def test_isomorphic_after_relabeling():
                    for u, v in graph.edges())
 
 
-def test_empty_and_singleton():
-    assert is_isomorphic(Graph(0), Graph(0))
-    assert automorphism_group(Graph(1)).order() == 1
-
-
 def test_size_cap():
     with pytest.raises(SizeCapExceeded):
         automorphism_group(Graph(65))
     with pytest.raises(SizeCapExceeded):
         canonical_form(Graph(65))
+
+
+def test_empty_and_singleton():
+    assert is_isomorphic(Graph(0), Graph(0))
+    one = Graph(1)
+    group = automorphism_group(one)
+    assert group.order() == 1
+    assert all(g.images == (0,) for g in group.generators)
+    assert canonical_form(one) == (one, (0,))
+    result = is_isomorphic(one, Graph(1))
+    assert result and result.mapping == (0,)
+
+
+def test_witness_rejects_a_wrong_labeling():
+    path = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    canonical, labeling = canonical_form(path)
+    # end vertex 0 and inner vertex 1 swap canonical positions: still a
+    # bijection, but no longer a relabeling of the path onto its form
+    wrong = list(labeling)
+    wrong[0], wrong[1] = wrong[1], wrong[0]
+    with pytest.raises(InternalCheckFailed) as raised:
+        is_isomorphic_given_form(path, path, (canonical, tuple(wrong)))
+    assert raised.value.code == "internal-check-failed"
+
+
+def _shrikhande() -> Graph:
+    """Cayley graph of Z4 x Z4 on +-(1,0), +-(0,1), +-(1,1)."""
+    steps = [(1, 0), (0, 1), (1, 1)]
+    return Graph(16, [(4 * a + b, 4 * ((a + x) % 4) + (b + y) % 4)
+                      for a in range(4) for b in range(4) for x, y in steps])
+
+
+def _disjoint_cycles(copies: int, length: int) -> Graph:
+    return Graph(copies * length, [(length * c + i, length * c + (i + 1) % length)
+                                   for c in range(copies) for i in range(length)])
+
+
+REFERENCE_GRAPHS = {
+    **{f"hamming({d},2)": (lambda d=d: hamming(d, 2).graph) for d in range(2, 6)},
+    **{f"grid_complement({m})": (lambda m=m: grid_complement(m).graph) for m in range(3, 8)},
+    "petersen": lambda: petersen().graph,
+    "line(petersen)": lambda: line_graph(petersen().graph)[0],
+    "icosahedron": lambda: icosahedron().graph,
+    "hamming(2,4)": lambda: hamming(2, 4).graph,
+    "shrikhande": _shrikhande,
+    **{f"{k}K3": (lambda k=k: _disjoint_cycles(k, 3)) for k in range(1, 7)},
+    "4C6": lambda: _disjoint_cycles(4, 6),
+}
+
+
+def _relabelings(graph: Graph, seed: int, count: int = 3) -> list:
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        images = list(range(graph.n))
+        rng.shuffle(images)
+        out.append(graph.relabel(Permutation(images)))
+    return out
+
+
+def _reference_isomorphism(g1: Graph, g2: Graph):
+    c1, l1 = reference_canonical_form(g1)
+    c2, l2 = reference_canonical_form(g2)
+    if c1 != c2:
+        return False, None
+    inverse2 = Permutation(l2).inverse()
+    return True, tuple(inverse2.images[l1[v]] for v in range(g1.n))
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_GRAPHS))
+def test_search_matches_the_reference_search(name):
+    graph = REFERENCE_GRAPHS[name]()
+    relabeled = _relabelings(graph, seed=sum(map(ord, name)))
+    for g in relabeled:
+        assert ([p.images for p in automorphism_group(g).generators]
+                == [p.images for p in reference_automorphism_group(g).generators])
+        assert canonical_form(g) == reference_canonical_form(g)
+    for g1, g2 in zip(relabeled, relabeled[1:] + [graph]):
+        result = is_isomorphic(g1, g2)
+        assert (result.isomorphic, result.mapping) == _reference_isomorphism(g1, g2)
+
+
+@pytest.mark.parametrize("left,right", [("hamming(2,4)", "shrikhande"),
+                                        ("grid_complement(4)", "hamming(3,2)"),
+                                        ("grid_complement(3)", "2K3")])
+def test_cross_verdicts_match_the_reference_search(left, right):
+    for g1, g2 in zip(_relabelings(REFERENCE_GRAPHS[left](), seed=1),
+                      _relabelings(REFERENCE_GRAPHS[right](), seed=2)):
+        result = is_isomorphic(g1, g2)
+        assert (result.isomorphic, result.mapping) == _reference_isomorphism(g1, g2)

@@ -215,3 +215,17 @@ def test_generator_file_comments_and_blanks():
 def test_generator_degree_validation():
     with pytest.raises(DegreeMismatch):
         PermutationGroup(4, [Permutation.identity(3)])
+
+
+def test_degree_one_chain():
+    e = Permutation.identity(1)
+    chain = StabilizerChain(1, [])
+    assert chain.order() == 1
+    assert chain.contains(e)
+    assert chain.elements() == [e]
+    based = StabilizerChain(1, [e], base_prefix=(0,))
+    assert based.order() == 1 and based.contains(e)
+    group = PermutationGroup(1, [e])
+    assert group.order() == 1 and e in group
+    assert group.point_stabilizer(0).order() == 1
+

@@ -31,6 +31,8 @@ def test_pow_and_order():
     assert (c ** 6).is_identity()
     assert c ** -1 == c.inverse()
     assert c ** 4 == c * c * c * c
+    assert Permutation.identity(4).order() == 1
+    assert Permutation.from_cycles(9, [(0, 1), (2, 3, 4), (5, 6, 7, 8)]).order() == 12
 
 
 def test_bijection_validation():
@@ -93,3 +95,13 @@ def test_sort_order_is_by_images():
     a = Permutation((0, 1, 2))
     b = Permutation((1, 0, 2))
     assert sorted([b, a]) == [a, b]
+
+
+def test_degree_one_composition_and_power():
+    # a single index makes itemgetter return the item itself, not a 1-tuple
+    e = Permutation.identity(1)
+    assert (e * e).images == (0,)
+    assert (e ** 3).images == (0,)
+    assert (e ** -2).images == (0,)
+    assert e.order() == 1
+
