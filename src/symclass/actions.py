@@ -7,11 +7,15 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
-from .errors import DegreeMismatch, IntransitiveGroup, InvariantCellError, ParameterError
-from .group import PermutationGroup, StabilizerChain
+from .errors import (
+    DegreeMismatch,
+    IntransitiveGroup,
+    InternalCheckFailed,
+    InvariantCellError,
+    ParameterError,
+)
+from .group import PermutationGroup, StabilizerChain, point_orbit
 from .perm import Permutation
-
-TRIPLE_DEGREE_CAP = 128
 
 
 def _normalize_cells(group: PermutationGroup, cells) -> list[frozenset]:
@@ -80,20 +84,20 @@ def kernel_of_action(group: PermutationGroup, cells) -> PermutationGroup:
 
 @dataclass(frozen=True)
 class TransitivityDegrees:
-    """Orbit counts on points, pairs and triples, with the derived flags.
+    """Orbit counts on points and pairs, with the derived flags.
 
-    ``three_transitive`` is ``None`` when the ordered-triple enumeration was
-    not attempted (degree above the cap) -- distinct from ``False``.
+    ``three_transitive`` is decided by the stabilizer of two points (see
+    ``transitivity_degree_tests``), not by counting orbits on triples, so it
+    is defined at every degree.
     """
 
     point_orbits: int
     unordered_pair_orbits: int
     ordered_pair_orbits: int
-    ordered_triple_orbits: int | None
     transitive: bool
     two_homogeneous: bool
     two_transitive: bool
-    three_transitive: bool | None
+    three_transitive: bool
 
 
 def _count_orbits(gens, items, act) -> int:
@@ -115,10 +119,20 @@ def _count_orbits(gens, items, act) -> int:
     return count
 
 
-def transitivity_degree_tests(group: PermutationGroup,
-                              triple_cap: int = TRIPLE_DEGREE_CAP) -> TransitivityDegrees:
-    """Transitivity flags from orbit counts on points, 2-subsets, ordered pairs
-    and ordered triples of distinct points."""
+def _two_point_stabilizer_transitive_on_rest(group: PermutationGroup) -> bool:
+    """For a 2-transitive group of degree at least 3: is ``G_{0,b}``
+    transitive on the other n - 2 points? ``b`` is the chain's second base
+    point; all two-point stabilizers are conjugate, so it stands for any."""
+    chain = group.chain
+    b = chain.base[1]
+    c = min(x for x in range(group.degree) if x not in (0, b))
+    return len(point_orbit(chain.strong_generators(2), c)) == group.degree - 2
+
+
+def transitivity_degree_tests(group: PermutationGroup) -> TransitivityDegrees:
+    """Transitivity flags from orbit counts on points, 2-subsets and ordered
+    pairs of distinct points; 3-transitivity is 2-transitivity plus a
+    two-point stabilizer transitive on the remaining points."""
     n = group.degree
     if n < 2:
         raise ParameterError("transitivity degree tests need degree at least 2")
@@ -129,26 +143,16 @@ def transitivity_degree_tests(group: PermutationGroup,
     unordered = _count_orbits(
         gens, combinations(range(n), 2),
         lambda g, t: tuple(sorted((g.images[t[0]], g.images[t[1]]))))
-    if n < 3:
-        triples = None
-        three: bool | None = False
-    elif n > triple_cap:
-        triples = None
-        three = None
-    else:
-        triples = _count_orbits(
-            gens, permutations(range(n), 3),
-            lambda g, t: (g.images[t[0]], g.images[t[1]], g.images[t[2]]))
-        three = triples == 1
+    two_transitive = ordered_pairs == 1
     return TransitivityDegrees(
         point_orbits=point_orbits,
         unordered_pair_orbits=unordered,
         ordered_pair_orbits=ordered_pairs,
-        ordered_triple_orbits=triples,
         transitive=point_orbits == 1,
         two_homogeneous=unordered == 1,
-        two_transitive=ordered_pairs == 1,
-        three_transitive=three,
+        two_transitive=two_transitive,
+        three_transitive=(two_transitive and n >= 3
+                          and _two_point_stabilizer_transitive_on_rest(group)),
     )
 
 
@@ -239,7 +243,7 @@ def find_block_systems(group: PermutationGroup) -> list[BlockSystem]:
         for g in group.generators:
             for block in blocks:
                 if frozenset(g.images[x] for x in block) not in cells:  # pragma: no cover
-                    raise AssertionError("computed partition is not generator-invariant")
+                    raise InternalCheckFailed("computed partition is not generator-invariant")
         minimal.append(BlockSystem(tuple(sorted(blocks))))
     minimal.sort(key=lambda s: (s.block_size, s.blocks))
     return minimal

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .errors import InternalCheckFailed, ParameterError, SizeCapExceeded
 from .graph6 import encode_graph6
 from .graphs import Graph
-from .group import PermutationGroup
+from .group import PermutationGroup, point_orbit
 from .perm import Permutation
 
 SIZE_CAP = 64
@@ -156,19 +156,6 @@ def _search_map(g: Graph, path: list, depth: int, colors: list):
     return None
 
 
-def _orbit_under(gens: list, x: int) -> set:
-    orbit = {x}
-    queue = deque([x])
-    while queue:
-        a = queue.popleft()
-        for g in gens:
-            b = g.images[a]
-            if b not in orbit:
-                orbit.add(b)
-                queue.append(b)
-    return orbit
-
-
 def _automorphisms(g: Graph, base: list) -> list[Permutation]:
     """Generators of Aut(g) from the equitable base coloring ``base``.
 
@@ -187,7 +174,7 @@ def _automorphisms(g: Graph, base: list) -> list[Permutation]:
         for y in candidates:
             if covered is None:
                 fixing = [p for p in gens if all(p.images[q] == q for q in prefix)]
-                covered = _orbit_under(fixing, b)
+                covered = point_orbit(fixing, b)
             if y in covered:
                 continue
             individualized = list(colors)
@@ -238,7 +225,7 @@ def canonical_form(g: Graph):
         for y in branch[1]:
             if y in covered:
                 continue
-            covered |= _orbit_under(fixing, y)
+            covered |= point_orbit(fixing, y)
             refined = list(colors)
             refined[y] = next_color
             descend(_refine(g, refined), individualized + [y], next_color + 1)

@@ -20,6 +20,7 @@ from .classify import (
     ClaimVerdict,
     check_condition_3_1,
     classify_pair,
+    condition_3_1_examples,
     is_s_arc_transitive,
     is_s_distance_transitive,
     neighborhood_action,
@@ -212,7 +213,7 @@ def _claim_l32(budget: Budget) -> ClaimVerdict:
     witness_results = {}
     for m in (5, 6):
         graph = families.grid_complement(m).graph
-        witness = families.condition_3_1_examples(m)[0]
+        witness = condition_3_1_examples(m)[0]
         full = families.wreath_grid(m)
         witness_results[f"m{m}_witness"] = (
             check_condition_3_1(witness, m).satisfied
@@ -474,10 +475,13 @@ def _claim_c12(budget: Budget) -> ClaimVerdict:
     return ClaimVerdict("C1.2", "verified" if ok else "refuted", evidence)
 
 
-def _table_row_instances():
+@lru_cache(maxsize=1)
+def table_row_reports() -> tuple:
+    """The seven catalog-row instances, each as ``(row, valency, girth,
+    report)`` with its ``classify_pair`` report. Classified once per process."""
     petersen = families.petersen()
     lp, _ = line_graph(petersen.graph)
-    return [
+    instances = [
         ("grid_complement(4)", families.grid_complement(4).graph,
          families.direct_product(families.sym(2), families.alt(4)), 3, 4),
         ("octahedron", families.octahedron().graph, families.octahedral(), 4, 3),
@@ -491,13 +495,14 @@ def _table_row_instances():
         ("grid_complement(6)", families.grid_complement(6).graph,
          families.direct_product(families.sym(2), families.psl25()), 5, 4),
     ]
+    return tuple((name, valency, girth_expected, classify_pair(graph, group))
+                 for name, graph, group, valency, girth_expected in instances)
 
 
 def _claim_t13(budget: Budget) -> ClaimVerdict:
     failures = []
     matched = 0
-    for name, graph, group, valency, girth_expected in _table_row_instances():
-        report = classify_pair(graph, group)
+    for name, valency, girth_expected, report in table_row_reports():
         ok = (report.matched_row == name
               and report.distance_transitive[2]
               and not report.arc_transitive[2]

@@ -5,7 +5,6 @@ stabilizers, and classification against the built-in catalog rows."""
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -27,22 +26,26 @@ from .errors import (
     ParameterError,
 )
 from .families import (
+    agl1,
+    alt,
+    direct_product,
     grid_complement,
     hamming,
     icosahedron,
     octahedron,
     preserves_graph,
+    psl25,
+    sym,
 )
 from .graphs import (
     Graph,
     diameter,
     distance_partition,
-    enumerate_s_arcs,
     girth,
     intersection_numbers,
     is_complete,
 )
-from .group import PermutationGroup
+from .group import PermutationGroup, point_orbit
 from .numtheory import prime_power
 from .perm import Permutation
 
@@ -82,7 +85,7 @@ def _orbit_counts_within(stab: PermutationGroup, subset) -> int:
         x = min(remaining)
         orbit = stab.orbit(x)
         if not set(orbit) <= set(subset):  # pragma: no cover - distance preserved
-            raise AssertionError("stabilizer orbit left a distance layer")
+            raise InternalCheckFailed("stabilizer orbit left a distance layer")
         remaining.difference_update(orbit)
         count += 1
     return count
@@ -119,17 +122,26 @@ def _distance_transitivity(g: Graph, group: PermutationGroup, s: int) -> Transit
          "layer_sizes": {i: len(dp.layers[i]) for i in range(1, s + 1)}})
 
 
-def _tuple_orbit_size(gens, start: tuple) -> int:
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        current = queue.popleft()
-        for p in gens:
-            image = tuple(p.images[x] for x in current)
-            if image not in seen:
-                seen.add(image)
-                queue.append(image)
-    return len(seen)
+def _tuple_orbit_size(group: PermutationGroup, start: tuple) -> int:
+    """The size of the orbit of a tuple of points, by orbit-stabilizer along
+    it: |x0^G| * |x1^(G_x0)| * |x2^(G_x0,x1)| * ... A point that occurred
+    before is fixed by the stabilizer so far and contributes a factor of 1.
+    For a tuple starting at 0 the first stabilizer is read off the group's
+    own chain."""
+    points = list(dict.fromkeys(start))
+    size = 1
+    for x in points[:-1]:
+        size *= len(point_orbit(group.generators, x))
+        group = group.point_stabilizer(x)
+    return size * len(point_orbit(group.generators, points[-1]))
+
+
+def _first_arc(g: Graph, s: int) -> tuple:
+    """The lexicographically first s-arc starting at 0 (the graph has one)."""
+    arc = [0, g.adjacency[0][0]]
+    for _ in range(s - 1):
+        arc.append(next(w for w in g.adjacency[arc[-1]] if w != arc[-2]))
+    return tuple(arc)
 
 
 def neighborhood_action(g: Graph, group: PermutationGroup, v: int) -> PermutationGroup:
@@ -158,14 +170,17 @@ def _arc_transitivity(g: Graph, group: PermutationGroup, s: int
         raise ParameterError("s must be 1, 2 or 3")
     if not group.is_transitive():
         return TransitivityCheck(False, "not vertex-transitive"), None
-    arcs = enumerate_s_arcs(g, s)
-    if not arcs:
+    # a vertex-transitive automorphism group makes the graph regular, so
+    # every vertex starts k * (k - 1)^(s - 1) s-arcs
+    k = g.degree(0)
+    arc_count = g.n * k * (k - 1) ** (s - 1)
+    if not arc_count:
         return TransitivityCheck(False, f"the graph has no {s}-arcs"), None
-    orbit_size = _tuple_orbit_size(group.generators, arcs[0])
-    ok = orbit_size == len(arcs)
-    evidence = {"arc_count": len(arcs), "orbit_size": orbit_size}
+    orbit_size = _tuple_orbit_size(group, _first_arc(g, s))
+    ok = orbit_size == arc_count
+    evidence = {"arc_count": arc_count, "orbit_size": orbit_size}
     flags = None
-    if s == 2 and g.degree(0) >= 2:
+    if s == 2:  # k >= 2 here, or there would be no 2-arcs
         flags = transitivity_degree_tests(neighborhood_action(g, group, 0))
         evidence["stabilizer_two_transitive_on_neighbors"] = flags.two_transitive
         if flags.two_transitive != ok:
@@ -188,12 +203,16 @@ def _geodesic_transitivity(g: Graph, group: PermutationGroup,
     """The 2-geodesic verdict for a non-complete graph, given its 1-arc verdict."""
     if not at1:
         return TransitivityCheck(False, "not arc-transitive", at1.evidence)
-    geodesics = [t for t in enumerate_s_arcs(g, 2) if not g.has_edge(t[0], t[2])]
-    orbit_size = _tuple_orbit_size(group.generators, geodesics[0])
-    ok = orbit_size == len(geodesics)
+    # arc transitivity makes the group vertex-transitive, so every vertex
+    # starts as many 2-geodesics as vertex 0
+    from_zero = [(0, a, c) for a in g.adjacency[0] for c in g.adjacency[a]
+                 if c != 0 and not g.has_edge(0, c)]
+    geodesic_count = g.n * len(from_zero)
+    orbit_size = _tuple_orbit_size(group, from_zero[0])
+    ok = orbit_size == geodesic_count
     return TransitivityCheck(
         ok, None if ok else "multiple orbits on 2-geodesics",
-        {"geodesic_count": len(geodesics), "orbit_size": orbit_size})
+        {"geodesic_count": geodesic_count, "orbit_size": orbit_size})
 
 
 @dataclass
@@ -204,7 +223,7 @@ class ConditionCheck:
     projects_onto_swap: bool
     kernel_order: int
     kernel_two_transitive: bool
-    kernel_three_transitive: bool | None
+    kernel_three_transitive: bool
 
     def __bool__(self) -> bool:
         return self.satisfied
@@ -236,7 +255,7 @@ def check_condition_3_1(group: PermutationGroup, m: int) -> ConditionCheck:
     restricted, _ = induced_action(kernel, [{j} for j in range(m)])
     flags = transitivity_degree_tests(restricted)
     projects = projection.order() == 2
-    satisfied = projects and flags.two_transitive and flags.three_transitive is False
+    satisfied = projects and flags.two_transitive and not flags.three_transitive
     return ConditionCheck(
         satisfied=satisfied,
         projects_onto_swap=projects,
@@ -244,6 +263,22 @@ def check_condition_3_1(group: PermutationGroup, m: int) -> ConditionCheck:
         kernel_two_transitive=flags.two_transitive,
         kernel_three_transitive=flags.three_transitive,
     )
+
+
+_CONDITION_WITNESSES = {4: lambda: alt(4), 5: lambda: agl1(5), 6: psl25}
+
+
+def condition_3_1_examples(m: int) -> list[PermutationGroup]:
+    """Witness groups <row swap> x H on grid_complement(m) vertices, for the
+    built-in 2-transitive-not-3-transitive H (m = 4, 5, 6)."""
+    if m not in _CONDITION_WITNESSES:
+        raise ParameterError(
+            f"no built-in witness for m={m}; supported m: "
+            f"{', '.join(str(k) for k in sorted(_CONDITION_WITNESSES))}")
+    group = direct_product(sym(2), _CONDITION_WITNESSES[m]())
+    if not check_condition_3_1(group, m).satisfied:
+        raise InternalCheckFailed(f"the witness for m={m} fails the grid condition")
+    return [group]
 
 
 @dataclass
@@ -373,7 +408,7 @@ def _match_hamming23(g: Graph, group: PermutationGroup) -> str | None:
         if image in cols:
             return ROW_HAMMING_2_3
         if image not in rows:  # pragma: no cover - automorphisms permute triangles
-            raise AssertionError("triangle image is neither a row nor a column")
+            raise InternalCheckFailed("triangle image is neither a row nor a column")
     return None
 
 

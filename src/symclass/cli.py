@@ -16,7 +16,7 @@ import time
 
 from . import families
 from .autgroup import automorphism_group, is_isomorphic
-from .claims import CLAIM_DESCRIPTIONS, CLAIM_IDS, Budget, verify_claim
+from .claims import CLAIM_DESCRIPTIONS, CLAIM_IDS, Budget, table_row_reports, verify_claim
 from .classify import classify_pair
 from .errors import DegreeMismatch, ParameterError, ParseError, SymclassError
 from .graph6 import decode_graph6, decode_graph6_lines, encode_graph6
@@ -219,46 +219,40 @@ def _cmd_iso(args) -> int:
     return 0
 
 
-def _cmd_verify_paper(args) -> int:
-    budget = _budget_from_args(args)
-    claims = list(CLAIM_IDS) if args.all or not args.claims else args.claims
+def _timed_claims(claims, budget: Budget, describe: bool) -> list:
+    """One entry per claim, in catalog order: the verdict, its description
+    when ``describe`` is set, and the ``runtime_ms`` sidecar."""
     results = []
     for claim in claims:
         started = time.perf_counter()
         verdict = verify_claim(claim, budget)
-        elapsed_ms = int((time.perf_counter() - started) * 1000)
         entry = verdict.to_dict()
-        entry["description"] = CLAIM_DESCRIPTIONS[verdict.claim]
-        entry["runtime_ms"] = elapsed_ms
+        entry["runtime_ms"] = int((time.perf_counter() - started) * 1000)
+        if describe:
+            entry["description"] = CLAIM_DESCRIPTIONS[verdict.claim]
         results.append(entry)
     results.sort(key=lambda e: CLAIM_IDS.index(e["claim"]))
+    return results
+
+
+def _claims_hold(results: list) -> bool:
+    return all(e["status"] in ("verified", "skipped") for e in results)
+
+
+def _cmd_verify_paper(args) -> int:
+    claims = list(CLAIM_IDS) if args.all or not args.claims else args.claims
+    results = _timed_claims(claims, _budget_from_args(args), describe=True)
     _emit({"claims": results})
-    return 0 if all(e["status"] in ("verified", "skipped") for e in results) else 1
+    return 0 if _claims_hold(results) else 1
 
 
 def _cmd_report(args) -> int:
-    budget = _budget_from_args(args)
-    claims = []
-    for claim in CLAIM_IDS:
-        started = time.perf_counter()
-        verdict = verify_claim(claim, budget)
-        entry = verdict.to_dict()
-        entry["runtime_ms"] = int((time.perf_counter() - started) * 1000)
-        claims.append(entry)
-    from .claims import _table_row_instances
-    rows = []
-    for name, graph, group, valency, girth_expected in _table_row_instances():
-        report = classify_pair(graph, group)
-        rows.append({
-            "row": name,
-            "valency": valency,
-            "girth": girth_expected,
-            "matched": report.matched_row == name,
-        })
+    claims = _timed_claims(CLAIM_IDS, _budget_from_args(args), describe=False)
+    rows = [{"row": name, "valency": valency, "girth": girth_expected,
+             "matched": report.matched_row == name}
+            for name, valency, girth_expected, report in table_row_reports()]
     _emit({"claims": claims, "table_rows": rows})
-    ok = (all(e["status"] in ("verified", "skipped") for e in claims)
-          and all(r["matched"] for r in rows))
-    return 0 if ok else 1
+    return 0 if _claims_hold(claims) and all(r["matched"] for r in rows) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

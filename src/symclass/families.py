@@ -12,7 +12,6 @@ import re
 from dataclasses import dataclass
 from itertools import combinations
 
-from .actions import induced_action, kernel_of_action, transitivity_degree_tests
 from .errors import ParameterError, UnknownFamily
 from .graphs import Graph, complement, diameter, girth
 from .group import PermutationGroup
@@ -469,45 +468,6 @@ def build_graph(name: str, *params: int) -> LabeledFamily:
     if len(params) != arity:
         raise ParameterError(f"family {key!r} takes {arity} parameter(s), got {len(params)}")
     return ctor(*params)
-
-
-# -- grid-condition witnesses -------------------------------------------------
-
-
-def grid_condition_holds(group: PermutationGroup, m: int) -> bool:
-    """Does a subgroup of S2 x Sm (in the 2 x m grid action) project onto the
-    row swap with a 2-transitive-but-not-3-transitive column kernel?"""
-    rows = [frozenset(range(m)), frozenset(range(m, 2 * m))]
-    projection, _ = induced_action(group, rows)
-    if projection.order() != 2:
-        return False
-    kernel = kernel_of_action(group, rows)
-    restricted, _ = induced_action(kernel, [{j} for j in range(m)])
-    flags = transitivity_degree_tests(restricted)
-    return bool(flags.two_transitive and flags.three_transitive is False)
-
-
-_CONDITION_WITNESSES = {
-    4: [("alt(4)", lambda: alt(4))],
-    5: [("agl1(5)", lambda: agl1(5))],
-    6: [("psl25", psl25)],
-}
-
-
-def condition_3_1_examples(m: int) -> list[PermutationGroup]:
-    """Witness groups <row swap> x H on grid_complement(m) vertices, for the
-    built-in 2-transitive-not-3-transitive H (m = 4, 5, 6)."""
-    if m not in _CONDITION_WITNESSES:
-        raise ParameterError(
-            f"no built-in witness for m={m}; supported m: "
-            f"{', '.join(str(k) for k in sorted(_CONDITION_WITNESSES))}")
-    witnesses = []
-    for name, ctor in _CONDITION_WITNESSES[m]:
-        group = direct_product(sym(2), ctor())
-        if not grid_condition_holds(group, m):
-            raise ParameterError(f"witness {name} for m={m} failed its own condition check")
-        witnesses.append(group)
-    return witnesses
 
 
 # -- group spec parser (CLI surface) ------------------------------------------

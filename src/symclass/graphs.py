@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from .errors import (
     DegreeMismatch,
     DisconnectedGraph,
+    InternalCheckFailed,
     InvalidGraph,
     IrregularGraph,
     NotAnAutomorphismGroup,
@@ -278,7 +279,8 @@ def enumerate_s_arcs(g: Graph, s: int) -> list[tuple]:
     arcs.sort()
     if s == 2 and g.n > 0 and g.is_regular():
         k = g.valency()
-        assert len(arcs) == g.n * k * (k - 1)
+        if len(arcs) != g.n * k * (k - 1):  # pragma: no cover
+            raise InternalCheckFailed(f"{len(arcs)} 2-arcs, expected n*k*(k-1)")
     return arcs
 
 
@@ -296,7 +298,8 @@ def line_graph(g: Graph):
                 adj_edges.add((min(a, b), max(a, b)))
     result = Graph(len(edges), sorted(adj_edges))
     expected = sum(d * (d - 1) for d in g.degrees()) // 2
-    assert result.edge_count() == expected
+    if result.edge_count() != expected:  # pragma: no cover
+        raise InternalCheckFailed(f"line graph has {result.edge_count()} edges, not {expected}")
     return result, tuple(edges)
 
 

@@ -15,6 +15,20 @@ from .perm import Permutation, _compose
 _ELEMENTS_CAP = 2_000_000
 
 
+def point_orbit(generators, x: int) -> set:
+    """The orbit of point ``x`` under the group generated by ``generators``."""
+    seen = {x}
+    queue = deque([x])
+    while queue:
+        a = queue.popleft()
+        for g in generators:
+            b = g.images[a]
+            if b not in seen:
+                seen.add(b)
+                queue.append(b)
+    return seen
+
+
 class StabilizerChain:
     """Base and strong generating set for a permutation group.
 
@@ -45,7 +59,7 @@ class StabilizerChain:
             if g.degree != degree:
                 raise DegreeMismatch(
                     f"generator degree {g.degree} does not match group degree {degree}")
-            if not g.is_identity():
+            if g.images != self._identity.images:
                 self._place(g)
         self._close()
 
@@ -117,7 +131,7 @@ class StabilizerChain:
                 if tb is None:
                     tb = ub.inverse()
                 h, j = self._strip(tb * tail, i + 1)
-                if h.is_identity():
+                if h.images == self._identity.images:
                     continue
                 if j == len(self.base):
                     self._new_level(min(h.support()))
@@ -151,7 +165,7 @@ class StabilizerChain:
         if p.degree != self.degree:
             return False
         residue, i = self._strip(p)
-        return i == len(self.base) and residue.is_identity()
+        return i == len(self.base) and residue.images == self._identity.images
 
     def basic_orbit(self, i: int) -> tuple:
         return tuple(sorted(self._inv[i]))
@@ -221,16 +235,7 @@ class PermutationGroup:
         """The orbit of ``x``, in ascending point order."""
         if not 0 <= x < self.degree:
             raise ParameterError(f"point {x} out of range for degree {self.degree}")
-        seen = {x}
-        queue = deque([x])
-        while queue:
-            a = queue.popleft()
-            for g in self.generators:
-                b = g.images[a]
-                if b not in seen:
-                    seen.add(b)
-                    queue.append(b)
-        return tuple(sorted(seen))
+        return tuple(sorted(point_orbit(self.generators, x)))
 
     def orbits(self) -> list[tuple]:
         out = []

@@ -9,7 +9,14 @@ from itertools import permutations
 
 import pytest
 
-from symclass import Graph, Permutation, PermutationGroup, StabilizerChain, encode_graph6
+from symclass import (
+    Graph,
+    Permutation,
+    PermutationGroup,
+    StabilizerChain,
+    encode_graph6,
+    enumerate_s_arcs,
+)
 
 
 @pytest.fixture
@@ -86,6 +93,61 @@ def brute_is_2dt(g: Graph, elements) -> bool:
     if dp.eccentricity < 2:
         return False
     return all(brute_layer_orbits(elements, 0, dp.layers[i]) == 1 for i in (1, 2))
+
+
+def brute_tuple_orbit(gens, start: tuple) -> set:
+    """The orbit of one tuple of points, walked breadth-first over images."""
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        current = queue.popleft()
+        for p in gens:
+            image = tuple(p.images[x] for x in current)
+            if image not in seen:
+                seen.add(image)
+                queue.append(image)
+    return seen
+
+
+def brute_tuple_orbits(group: PermutationGroup, r: int) -> int:
+    """Orbits on ordered r-tuples of distinct points (0 when r > degree)."""
+    seen: set = set()
+    count = 0
+    for t in permutations(range(group.degree), r):
+        if t not in seen:
+            count += 1
+            seen |= brute_tuple_orbit(group.generators, t)
+    return count
+
+
+def brute_arc_check(g: Graph, group: PermutationGroup, s: int) -> tuple:
+    """``(ok, reason, evidence)`` of the s-arc verdict from the full list of
+    s-arcs and the orbit of the first one."""
+    if len(brute_tuple_orbit(group.generators, (0,))) != g.n:
+        return False, "not vertex-transitive", {}
+    arcs = enumerate_s_arcs(g, s)
+    if not arcs:
+        return False, f"the graph has no {s}-arcs", {}
+    orbit_size = len(brute_tuple_orbit(group.generators, arcs[0]))
+    ok = orbit_size == len(arcs)
+    evidence = {"arc_count": len(arcs), "orbit_size": orbit_size}
+    if s == 2 and g.degree(0) >= 2:
+        # the library raises when the neighborhood criterion disagrees
+        evidence["stabilizer_two_transitive_on_neighbors"] = ok
+    return ok, None if ok else "multiple orbits on arcs", evidence
+
+
+def brute_geodesic_check(g: Graph, group: PermutationGroup) -> tuple:
+    """``(ok, reason, evidence)`` of the 2-geodesic verdict of a non-complete
+    graph from the full list of 2-geodesics."""
+    at1 = brute_arc_check(g, group, 1)
+    if not at1[0]:
+        return False, "not arc-transitive", at1[2]
+    geodesics = [t for t in enumerate_s_arcs(g, 2) if not g.has_edge(t[0], t[2])]
+    orbit_size = len(brute_tuple_orbit(group.generators, geodesics[0]))
+    ok = orbit_size == len(geodesics)
+    return (ok, None if ok else "multiple orbits on 2-geodesics",
+            {"geodesic_count": len(geodesics), "orbit_size": orbit_size})
 
 
 def index2_subgroup_count(elements) -> int:

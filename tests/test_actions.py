@@ -1,8 +1,11 @@
 import pytest
 
+from conftest import brute_tuple_orbits
+
 from symclass import (
     PermutationGroup,
     edge_action,
+    enumerate_subgroups,
     find_block_systems,
     induced_action,
     is_primitive,
@@ -15,6 +18,8 @@ from symclass.families import (
     alt,
     complete,
     cyclic,
+    dihedral,
+    icosahedral,
     octahedral,
     psl25,
     sym,
@@ -87,7 +92,7 @@ def test_transitivity_flags_alt4():
     flags = transitivity_degree_tests(alt(4))
     assert flags.transitive and flags.two_homogeneous and flags.two_transitive
     assert flags.three_transitive is False
-    assert flags.ordered_triple_orbits == 2
+    assert brute_tuple_orbits(alt(4), 3) == 2
 
 
 def test_transitivity_flags_frobenius21():
@@ -118,11 +123,30 @@ def test_monotonicity_of_flags():
             assert flags.transitive
 
 
-def test_triple_enumeration_cap_reports_not_computed():
-    group = cyclic(6)
-    flags = transitivity_degree_tests(group, triple_cap=5)
-    assert flags.three_transitive is None
-    assert flags.ordered_triple_orbits is None
+def _flag_battery() -> list:
+    groups = [sym(n) for n in range(2, 8)] + [alt(n) for n in range(4, 8)]
+    groups += [cyclic(n) for n in range(2, 9)] + [dihedral(n) for n in range(3, 9)]
+    groups += [agl1(p) for p in (3, 5, 7, 11)] + [two_homog_frobenius(p) for p in (7, 11)]
+    for ambient in (sym(5), wreath_grid(4), octahedral(), icosahedral(), psl25(), agl1(7)):
+        groups += enumerate_subgroups(ambient)
+    return groups
+
+
+def test_transitivity_flags_match_brute_tuple_orbits():
+    battery = _flag_battery()
+    three = 0
+    for group in battery:
+        flags = transitivity_degree_tests(group)
+        assert flags.ordered_pair_orbits == brute_tuple_orbits(group, 2)
+        assert flags.three_transitive == (brute_tuple_orbits(group, 3) == 1)
+        three += flags.three_transitive
+    # 3-transitive: sym(3..7), alt(5..7), dihedral(3), agl1(3), and S5, A5 in S5
+    assert (len(battery), three) == (630, 12)
+
+
+def test_three_transitivity_is_decided_above_the_old_triple_cap():
+    # degree 131 > 128: decided from the chain, without the 2.2 million ordered triples
+    assert transitivity_degree_tests(agl1(131)).three_transitive is False
 
 
 def test_block_system_of_cyclic_4():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import brute_is_2dt
+from conftest import brute_arc_check, brute_geodesic_check, brute_is_2dt
 
 import symclass.autgroup as autgroup_module
 import symclass.classify as classify_module
@@ -13,13 +13,16 @@ from symclass import (
     check_kantor_conditions,
     classify_pair,
     edge_action,
+    enumerate_subgroups,
     is_2_geodesic_transitive,
+    is_complete,
     is_isomorphic,
     is_s_arc_transitive,
     is_s_distance_transitive,
     line_graph,
 )
 from symclass.autgroup import is_isomorphic_given_form
+from symclass.claims import standard_corpus
 from symclass.classify import (
     ROW_GRID_COMPLEMENT_4,
     ROW_GRID_COMPLEMENT_5,
@@ -118,6 +121,33 @@ def test_2_geodesic_transitivity():
     assert is_2_geodesic_transitive(lp, edge_action(petersen_sym5(), petersen().graph))
     with pytest.raises(CompleteGraphError):
         is_2_geodesic_transitive(complete(4).graph, sym(4))
+
+
+def _oracle_pairs() -> list:
+    pairs = [(p.graph, p.group) for p in standard_corpus()]
+    for graph, ambient in ((grid_complement(4).graph, wreath_grid(4)),
+                           (octahedron().graph, octahedral()),
+                           (icosahedron().graph, icosahedral()),
+                           (complete_bipartite(3, 3).graph, wreath_bipartite(3)),
+                           (petersen().graph, petersen_sym5())):
+        pairs += [(graph, sub) for sub in enumerate_subgroups(ambient)]
+    return pairs
+
+
+def test_arc_and_geodesic_verdicts_match_the_tuple_orbit_oracle():
+    pairs = _oracle_pairs()
+    verdicts = set()
+    for graph, group in pairs:
+        for s in (1, 2, 3):
+            check = is_s_arc_transitive(graph, group, s)
+            assert (check.ok, check.reason, check.evidence) == brute_arc_check(graph, group, s)
+            verdicts.add((s, check.ok))
+        if not is_complete(graph):
+            check = is_2_geodesic_transitive(graph, group)
+            assert (check.ok, check.reason, check.evidence) == brute_geodesic_check(graph, group)
+            verdicts.add(("geodesic", check.ok))
+    assert len(pairs) == 652
+    assert len(verdicts) == 8  # both verdicts occur for every kind
 
 
 def test_condition_3_1_examples():

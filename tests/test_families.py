@@ -1,6 +1,7 @@
 import pytest
 
-from symclass import girth, intersection_numbers, transitivity_degree_tests
+from symclass import check_condition_3_1, girth, intersection_numbers, transitivity_degree_tests
+from symclass.classify import condition_3_1_examples
 from symclass.errors import ParameterError, UnknownFamily
 from symclass.families import (
     agl1,
@@ -9,12 +10,10 @@ from symclass.families import (
     build_group,
     complete,
     complete_bipartite,
-    condition_3_1_examples,
     cycle,
     dihedral,
     grid,
     grid_complement,
-    grid_condition_holds,
     hamming,
     hamming_full,
     icosahedral,
@@ -150,13 +149,16 @@ def test_condition_witnesses():
         witnesses = condition_3_1_examples(m)
         assert len(witnesses) == 1
         assert witnesses[0].order() == expected_order
-        assert grid_condition_holds(witnesses[0], m)
+        assert check_condition_3_1(witnesses[0], m).satisfied
     with pytest.raises(ParameterError, match="supported m"):
         condition_3_1_examples(7)
 
 
 def test_full_grid_group_fails_condition():
-    assert not grid_condition_holds(wreath_grid(4), 4)  # kernel is 3-transitive
+    full = check_condition_3_1(wreath_grid(4), 4)
+    assert full.projects_onto_swap and full.kernel_two_transitive
+    assert not full.satisfied
+    assert full.kernel_three_transitive is True  # the S4 column kernel
 
 
 def test_build_graph_dispatch():
