@@ -4,8 +4,8 @@ transitivity-degree flags, and minimal block systems."""
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import combinations, permutations
+from typing import NamedTuple
 
 from .errors import (
     DegreeMismatch,
@@ -82,8 +82,7 @@ def kernel_of_action(group: PermutationGroup, cells) -> PermutationGroup:
     return PermutationGroup(n, kernel_gens)
 
 
-@dataclass(frozen=True)
-class TransitivityDegrees:
+class TransitivityDegrees(NamedTuple):
     """Orbit counts on points and pairs, with the derived flags.
 
     ``three_transitive`` is decided by the stabilizer of two points (see
@@ -156,8 +155,7 @@ def transitivity_degree_tests(group: PermutationGroup) -> TransitivityDegrees:
     )
 
 
-@dataclass(frozen=True)
-class BlockSystem:
+class BlockSystem(NamedTuple):
     """A G-invariant partition of the domain into equal-size blocks."""
 
     blocks: tuple

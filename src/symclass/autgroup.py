@@ -13,7 +13,7 @@ canonical forms characterize isomorphism.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InternalCheckFailed, ParameterError, SizeCapExceeded
 from .graph6 import encode_graph6
@@ -156,43 +156,53 @@ def _search_map(g: Graph, path: list, depth: int, colors: list):
     return None
 
 
-def _automorphisms(g: Graph, base: list) -> list[Permutation]:
-    """Generators of Aut(g) from the equitable base coloring ``base``.
+def _automorphisms(g: Graph, base: list) -> tuple[list[Permutation], int]:
+    """Generators of Aut(g) from the equitable base coloring ``base``, and
+    its order.
 
     Walks the identity branch of the refinement tree; at each level it finds,
     for every candidate image of the branch vertex not yet covered by known
     automorphisms, one automorphism realizing it. The found elements are coset
     representatives along a stabilizer chain, so they generate the group. The
     identity branch is refined once; every candidate is refined against it.
+
+    An automorphism found at a level fixes the branch vertices above it and
+    moves that level's own, so the orbit of the branch vertex under those
+    found at its level is its basic orbit. The branch vertices form a base
+    (the leaf coloring is discrete), so the order is the product of the
+    basic orbit sizes.
     """
     path = _identity_path(g, base)
     gens: list[Permutation] = []
-    prefix: list[int] = []
+    order = 1
     for depth, (_, colors, branch) in enumerate(path[:-1]):
         b, *candidates = branch[1]
-        covered = None
+        level: list[Permutation] = []
+        covered = {b}
         for y in candidates:
-            if covered is None:
-                fixing = [p for p in gens if all(p.images[q] == q for q in prefix)]
-                covered = point_orbit(fixing, b)
             if y in covered:
                 continue
             individualized = list(colors)
             individualized[y] = g.n + depth
             found = _search_map(g, path, depth + 1, individualized)
             if found is not None:
-                gens.append(Permutation(found))
-                covered = None
-        prefix.append(b)
-    return gens
+                level.append(Permutation(found))
+                covered = point_orbit(level, b)
+        gens.extend(level)
+        order *= len(covered)
+    return gens, order
 
 
 def automorphism_group(g: Graph) -> PermutationGroup:
-    """Generators of the full automorphism group (see ``_automorphisms``)."""
+    """Generators of the full automorphism group (see ``_automorphisms``),
+    with the order the search found, so ``order()`` builds no chain."""
     _check_cap(g)
     if g.n == 0:
         raise ParameterError("automorphism group of the empty graph is undefined")
-    return PermutationGroup(g.n, _automorphisms(g, _base_colors(g)))
+    gens, order = _automorphisms(g, _base_colors(g))
+    group = PermutationGroup(g.n, gens)
+    group._order = order
+    return group
 
 
 def canonical_form(g: Graph):
@@ -207,7 +217,7 @@ def canonical_form(g: Graph):
     if g.n == 0:
         return g, ()
     base = _base_colors(g)
-    aut_gens = _automorphisms(g, base)
+    aut_gens, _ = _automorphisms(g, base)
     best: dict = {"code": None, "labeling": None}
 
     def descend(colors: list, individualized: list, next_color: int) -> None:
@@ -235,8 +245,7 @@ def canonical_form(g: Graph):
     return g.relabel(labeling), tuple(labeling.images)
 
 
-@dataclass(frozen=True)
-class IsomorphismResult:
+class IsomorphismResult(NamedTuple):
     isomorphic: bool
     mapping: tuple | None = None
 

@@ -10,14 +10,15 @@ bug, and "skipped" carries the reason (budget or precondition).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import families
 from .actions import find_block_systems, induced_action, transitivity_degree_tests
 from .autgroup import is_isomorphic
 from .classify import (
     ClaimVerdict,
+    _pair_girth,
     check_condition_3_1,
     classify_pair,
     condition_3_1_examples,
@@ -30,7 +31,6 @@ from .graphs import (
     Graph,
     distance_partition,
     edge_action,
-    girth,
     intersection_numbers,
     is_complete,
     line_graph,
@@ -41,16 +41,14 @@ from .perm import Permutation
 from .subgroups import enumerate_subgroups
 
 
-@dataclass(frozen=True)
-class Budget:
+class Budget(NamedTuple):
     """Caps for the expensive searches; override via CLI --budget or the
     SYMCLASS_BUDGET environment variable."""
 
     subgroup_order_cap: int = 400
 
 
-@dataclass(frozen=True)
-class CorpusPair:
+class CorpusPair(NamedTuple):
     name: str
     graph: Graph
     group: PermutationGroup
@@ -64,12 +62,10 @@ def standard_corpus() -> tuple:
     def add(name, graph, group):
         pairs.append(CorpusPair(name, graph, group))
 
-    witnesses = {4: families.alt(4), 5: families.agl1(5), 6: families.psl25()}
     for m in (4, 5, 6):
         fam = families.grid_complement(m)
         add(f"grid_complement({m})+wreath_grid({m})", fam.graph, fam.symmetry_group())
-        add(f"grid_complement({m})+sym2x{m}witness", fam.graph,
-            families.direct_product(families.sym(2), witnesses[m]))
+        add(f"grid_complement({m})+sym2x{m}witness", fam.graph, condition_3_1_examples(m)[0])
 
     add("hamming(3,2)+s2wr_sym3", families.hamming(3, 2).graph,
         families.wreath_hamming(families.sym(3), 3))
@@ -103,8 +99,7 @@ def standard_corpus() -> tuple:
     return tuple(pairs)
 
 
-@dataclass(frozen=True)
-class PairProfile:
+class PairProfile(NamedTuple):
     """Cached classification facts for one corpus pair."""
 
     name: str
@@ -130,7 +125,7 @@ def corpus_profiles() -> tuple:
             name=pair.name,
             graph=g,
             group=group,
-            girth=girth(g),
+            girth=_pair_girth(g, group),
             valency=g.valency(),
             complete=is_complete(g),
             dt2=bool(is_s_distance_transitive(g, group, 2)),
@@ -483,17 +478,17 @@ def table_row_reports() -> tuple:
     lp, _ = line_graph(petersen.graph)
     instances = [
         ("grid_complement(4)", families.grid_complement(4).graph,
-         families.direct_product(families.sym(2), families.alt(4)), 3, 4),
+         condition_3_1_examples(4)[0], 3, 4),
         ("octahedron", families.octahedron().graph, families.octahedral(), 4, 3),
         ("hamming(2,3)", families.hamming(2, 3).graph, families.hamming_full(2, 3), 4, 3),
         ("line_graph_of_cubic_3_arc_transitive", lp,
          edge_action(families.petersen_sym5(), petersen.graph), 4, 3),
         ("grid_complement(5)", families.grid_complement(5).graph,
-         families.direct_product(families.sym(2), families.agl1(5)), 4, 4),
+         condition_3_1_examples(5)[0], 4, 4),
         ("icosahedron", families.icosahedron().graph,
          families.icosahedral_rotations(), 5, 3),
         ("grid_complement(6)", families.grid_complement(6).graph,
-         families.direct_product(families.sym(2), families.psl25()), 5, 4),
+         condition_3_1_examples(6)[0], 5, 4),
     ]
     return tuple((name, valency, girth_expected, classify_pair(graph, group))
                  for name, graph, group, valency, girth_expected in instances)

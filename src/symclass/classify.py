@@ -5,8 +5,8 @@ stabilizers, and classification against the built-in catalog rows."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cache
+from typing import NamedTuple
 
 from .actions import (
     TransitivityDegrees,
@@ -38,11 +38,13 @@ from .families import (
     sym,
 )
 from .graphs import (
+    DistancePartition,
     Graph,
+    _intersection_numbers,
+    bfs_cycle_length,
     diameter,
     distance_partition,
     girth,
-    intersection_numbers,
     is_complete,
 )
 from .group import PermutationGroup, point_orbit
@@ -50,13 +52,12 @@ from .numtheory import prime_power
 from .perm import Permutation
 
 
-@dataclass
-class TransitivityCheck:
+class TransitivityCheck(NamedTuple):
     """A boolean verdict with the orbit evidence that produced it."""
 
     ok: bool
-    reason: str | None = None
-    evidence: dict = field(default_factory=dict)
+    reason: str | None
+    evidence: dict
 
     def __bool__(self) -> bool:
         return self.ok
@@ -98,13 +99,17 @@ def is_s_distance_transitive(g: Graph, group: PermutationGroup, s: int) -> Trans
     return _distance_transitivity(g, group, s)
 
 
-def _distance_transitivity(g: Graph, group: PermutationGroup, s: int) -> TransitivityCheck:
+def _distance_transitivity(g: Graph, group: PermutationGroup, s: int,
+                           dp: DistancePartition | None = None) -> TransitivityCheck:
+    """The s-distance verdict; ``dp`` is the distance partition from vertex
+    0 when the caller has it (an intransitive group never needs it)."""
     if s < 1:
         raise ParameterError("s must be at least 1")
     if not group.is_transitive():
         return TransitivityCheck(False, "not vertex-transitive",
                                  {"vertex_orbit_size": len(group.orbit(0))})
-    dp = distance_partition(g, 0)
+    if dp is None:
+        dp = distance_partition(g, 0)
     if s > dp.eccentricity:
         return TransitivityCheck(
             False, f"s={s} exceeds the diameter {dp.eccentricity}",
@@ -169,13 +174,13 @@ def _arc_transitivity(g: Graph, group: PermutationGroup, s: int
     if s not in (1, 2, 3):
         raise ParameterError("s must be 1, 2 or 3")
     if not group.is_transitive():
-        return TransitivityCheck(False, "not vertex-transitive"), None
+        return TransitivityCheck(False, "not vertex-transitive", {}), None
     # a vertex-transitive automorphism group makes the graph regular, so
     # every vertex starts k * (k - 1)^(s - 1) s-arcs
     k = g.degree(0)
     arc_count = g.n * k * (k - 1) ** (s - 1)
     if not arc_count:
-        return TransitivityCheck(False, f"the graph has no {s}-arcs"), None
+        return TransitivityCheck(False, f"the graph has no {s}-arcs", {}), None
     orbit_size = _tuple_orbit_size(group, _first_arc(g, s))
     ok = orbit_size == arc_count
     evidence = {"arc_count": arc_count, "orbit_size": orbit_size}
@@ -215,8 +220,7 @@ def _geodesic_transitivity(g: Graph, group: PermutationGroup,
         {"geodesic_count": geodesic_count, "orbit_size": orbit_size})
 
 
-@dataclass
-class ConditionCheck:
+class ConditionCheck(NamedTuple):
     """Verdict of the grid condition, with the projection/kernel sub-flags."""
 
     satisfied: bool
@@ -281,13 +285,12 @@ def condition_3_1_examples(m: int) -> list[PermutationGroup]:
     return [group]
 
 
-@dataclass
-class ClaimVerdict:
+class ClaimVerdict(NamedTuple):
     """Outcome of one catalog-claim verification."""
 
     claim: str
     status: str  # "verified" | "refuted" | "skipped"
-    evidence: dict = field(default_factory=dict)
+    evidence: dict
     reason: str | None = None
 
     def to_dict(self) -> dict:
@@ -439,8 +442,7 @@ def _match_table_row(g: Graph, group: PermutationGroup, valency: int, girth_valu
     return None
 
 
-@dataclass
-class TransitivityReport:
+class TransitivityReport(NamedTuple):
     """Full verdict for one (graph, group) pair."""
 
     vertex_count: int
@@ -480,25 +482,35 @@ class TransitivityReport:
         }
 
 
+def _pair_girth(g: Graph, group: PermutationGroup):
+    """The girth of ``g`` under its automorphism group ``group``. A
+    vertex-transitive group puts every vertex on a shortest cycle, so one BFS
+    from vertex 0 closes one; otherwise every vertex is tried as a root."""
+    return bfs_cycle_length(g, 0) if group.is_transitive() else girth(g)
+
+
 def classify_pair(g: Graph, group: PermutationGroup) -> TransitivityReport:
     """Fill the whole report: transitivity flags, intersection numbers,
     neighborhood orbit counts, girth shortcuts, and the catalog row (with
     "VIOLATION" when a qualifying pair matches no row)."""
     _validate_pair(g, group, require_regular=True)
     valency = g.valency()
-    girth_value = girth(g)
+    transitive = group.is_transitive()
+    # every vertex-local fact is read off the one layering from vertex 0; an
+    # intransitive group needs the girth and diameter over all vertices
+    dp = distance_partition(g, 0)
+    girth_value = _pair_girth(g, group)
     complete_graph = is_complete(g)
-    dt = {s: _distance_transitivity(g, group, s) for s in (1, 2)}
+    dt = {s: _distance_transitivity(g, group, s, dp) for s in (1, 2)}
     at1, _ = _arc_transitivity(g, group, 1)
     at2, neighbor_flags = _arc_transitivity(g, group, 2)
     at = {1: at1, 2: at2}
     gt2 = None if complete_graph else bool(_geodesic_transitivity(g, group, at1))
-    inter = intersection_numbers(g, 0)
-    dp = distance_partition(g, 0)
+    inter = _intersection_numbers(g, dp)
 
     neighborhood: dict = {"neighborhood_size": valency,
                           "second_layer_size": len(dp.layer(2))}
-    if group.is_transitive() and valency >= 1:
+    if transitive and valency >= 1:
         stab = group.point_stabilizer(0)
         neighborhood["orbits_on_neighbors"] = _orbit_counts_within(stab, dp.layer(1))
         if dp.layer(2):
@@ -530,9 +542,9 @@ def classify_pair(g: Graph, group: PermutationGroup) -> TransitivityReport:
         vertex_count=g.n,
         valency=valency,
         girth=girth_value,
-        diameter=diameter(g),
+        diameter=dp.eccentricity if transitive else diameter(g),
         group_order=group.order(),
-        vertex_transitive=group.is_transitive(),
+        vertex_transitive=transitive,
         distance_transitive={s: bool(v) for s, v in dt.items()},
         arc_transitive={s: bool(v) for s, v in at.items()},
         two_geodesic_transitive=gt2,

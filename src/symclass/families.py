@@ -9,7 +9,6 @@ chain on construction.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import ParameterError, UnknownFamily
@@ -23,23 +22,23 @@ def preserves_graph(p: Permutation, g: Graph) -> bool:
     return all(g.has_edge(p.images[u], p.images[v]) for u, v in g.edges())
 
 
-@dataclass(frozen=True)
 class LabeledFamily:
     """A graph together with its structured vertex labels and the canonical
     generators of its natural symmetry group."""
 
-    name: str
-    graph: Graph
-    labels: tuple
-    generators: tuple
+    __slots__ = ("name", "graph", "labels", "generators")
 
-    def __post_init__(self):
-        if len(self.labels) != self.graph.n or len(set(self.labels)) != self.graph.n:
-            raise ParameterError(f"{self.name}: labels are not a bijection")
-        for p in self.generators:
-            if p.degree != self.graph.n or not preserves_graph(p, self.graph):
+    def __init__(self, name: str, graph: Graph, labels: tuple, generators: tuple):
+        if len(labels) != graph.n or len(set(labels)) != graph.n:
+            raise ParameterError(f"{name}: labels are not a bijection")
+        for p in generators:
+            if p.degree != graph.n or not preserves_graph(p, graph):
                 raise ParameterError(
-                    f"{self.name}: generator {p.cycle_string()} does not preserve the graph")
+                    f"{name}: generator {p.cycle_string()} does not preserve the graph")
+        self.name = name
+        self.graph = graph
+        self.labels = labels
+        self.generators = generators
 
     def index_of(self, label) -> int:
         try:

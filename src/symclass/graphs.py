@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     DegreeMismatch,
@@ -138,8 +138,7 @@ def _bfs_layers(g: Graph, start: int) -> list[list[int]]:
     return layers
 
 
-@dataclass(frozen=True)
-class DistancePartition:
+class DistancePartition(NamedTuple):
     """BFS layers from a base vertex, covering its connected component."""
 
     base: int
@@ -175,20 +174,33 @@ def diameter(g: Graph) -> int:
 
 def girth(g: Graph):
     """Length of a shortest cycle; ``math.inf`` for forests."""
+    return min((bfs_cycle_length(g, root) for root in range(g.n)), default=math.inf)
+
+
+def bfs_cycle_length(g: Graph, root: int):
+    """The shortest closed walk a BFS from ``root`` closes at a non-tree edge
+    ``(x, y)``: ``dist(x) + dist(y) + 1``, or ``math.inf`` when there is none.
+
+    It is never below the girth and equals it when ``root`` lies on a
+    shortest cycle, hence at every vertex of a vertex-transitive graph.
+    """
     best = math.inf
-    for root in range(g.n):
-        dist = {root: 0}
-        parent = {root: -1}
-        queue = deque([root])
-        while queue:
-            x = queue.popleft()
-            for y in g.adjacency[x]:
-                if y not in dist:
-                    dist[y] = dist[x] + 1
-                    parent[y] = x
-                    queue.append(y)
-                elif parent[x] != y:
-                    best = min(best, dist[x] + dist[y] + 1)
+    dist = {root: 0}
+    parent = {root: -1}
+    queue = deque([root])
+    while queue:
+        x = queue.popleft()
+        if 2 * dist[x] >= best:
+            # later vertices are no nearer, and a non-tree edge at x closes
+            # at least 2 * dist(x)
+            break
+        for y in g.adjacency[x]:
+            if y not in dist:
+                dist[y] = dist[x] + 1
+                parent[y] = x
+                queue.append(y)
+            elif parent[x] != y:
+                best = min(best, dist[x] + dist[y] + 1)
     return best
 
 
@@ -196,8 +208,7 @@ def is_complete(g: Graph) -> bool:
     return all(len(nbrs) == g.n - 1 for nbrs in g.adjacency)
 
 
-@dataclass(frozen=True)
-class IntersectionNumbers:
+class IntersectionNumbers(NamedTuple):
     """Per-layer (c_i, a_i, b_i) triples from a base vertex.
 
     A layer's triple is present only when the three counts agree for every
@@ -232,7 +243,12 @@ def intersection_numbers(g: Graph, u: int) -> IntersectionNumbers:
     if not g.is_connected():
         raise DisconnectedGraph("intersection numbers need a connected graph")
     g.valency()  # raises IrregularGraph when degrees differ
-    dp = distance_partition(g, u)
+    return _intersection_numbers(g, distance_partition(g, u))
+
+
+def _intersection_numbers(g: Graph, dp: DistancePartition) -> IntersectionNumbers:
+    """The intersection numbers over the layers of ``dp``, a distance
+    partition of the connected regular graph ``g``."""
     layer_of = {}
     for i, layer in enumerate(dp.layers):
         for v in layer:
@@ -260,7 +276,7 @@ def intersection_numbers(g: Graph, u: int) -> IntersectionNumbers:
         else:
             triples.append(None)
             flags.append(False)
-    return IntersectionNumbers(u, tuple(triples), tuple(flags))
+    return IntersectionNumbers(dp.base, tuple(triples), tuple(flags))
 
 
 def enumerate_s_arcs(g: Graph, s: int) -> list[tuple]:

@@ -195,11 +195,12 @@ class StabilizerChain:
 class PermutationGroup:
     """A group of permutations of {0..degree-1} given by generators.
 
-    The stabilizer chain is built lazily on first use and cached; instances
-    are immutable afterwards and safe to share between threads.
+    The stabilizer chain and each point stabilizer are built lazily on first
+    use and cached; instances are immutable afterwards and safe to share
+    between threads.
     """
 
-    __slots__ = ("degree", "generators", "_chain")
+    __slots__ = ("degree", "generators", "_chain", "_order", "_stabilizers")
 
     def __init__(self, degree: int, generators=()):
         if degree < 1:
@@ -214,6 +215,10 @@ class PermutationGroup:
         self.degree = degree
         self.generators = generators
         self._chain = None
+        # set by a caller that already knows the order (the automorphism
+        # search), so that order() needs no chain
+        self._order = None
+        self._stabilizers = {}
 
     @property
     def chain(self) -> StabilizerChain:
@@ -223,7 +228,7 @@ class PermutationGroup:
         return self._chain
 
     def order(self) -> int:
-        return self.chain.order()
+        return self.chain.order() if self._order is None else self._order
 
     def __contains__(self, p: Permutation) -> bool:
         return self.chain.contains(p)
@@ -251,11 +256,18 @@ class PermutationGroup:
 
     def point_stabilizer(self, x: int) -> "PermutationGroup":
         """The stabilizer of ``x``, from a chain whose base starts at ``x``
-        (for ``x = 0`` the group's own chain)."""
-        if x == 0:
-            return PermutationGroup(self.degree, self.chain.strong_generators(1))
-        chain = StabilizerChain(self.degree, self.generators, base_prefix=(x,))
-        return PermutationGroup(self.degree, chain.strong_generators(chain.prefix_length))
+        (for ``x = 0`` the group's own chain). Built once per point and kept,
+        so repeated calls return the same group and its cached chain."""
+        stab = self._stabilizers.get(x)
+        if stab is None:
+            if x == 0:
+                stab = PermutationGroup(self.degree, self.chain.strong_generators(1))
+            else:
+                chain = StabilizerChain(self.degree, self.generators, base_prefix=(x,))
+                stab = PermutationGroup(self.degree,
+                                        chain.strong_generators(chain.prefix_length))
+            self._stabilizers[x] = stab
+        return stab
 
     def pointwise_stabilizer(self, points) -> "PermutationGroup":
         chain = StabilizerChain(self.degree, self.generators, base_prefix=tuple(points))

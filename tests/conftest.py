@@ -69,6 +69,43 @@ def brute_aut_order(g: Graph) -> int:
     return count
 
 
+def brute_girth(g: Graph):
+    """Shortest cycle as the least ``1 + dist(u, v)`` over the edges ``uv``,
+    the distance taken in the graph without that edge; ``inf`` for forests."""
+    best = float("inf")
+    for u, v in g.edges():
+        dist = {u: 0}
+        queue = deque([u])
+        while queue and v not in dist:
+            x = queue.popleft()
+            for y in g.adjacency[x]:
+                if y not in dist and {x, y} != {u, v}:
+                    dist[y] = dist[x] + 1
+                    queue.append(y)
+        if v in dist:
+            best = min(best, dist[v] + 1)
+    return best
+
+
+def reference_bfs_cycle_length(g: Graph, root: int):
+    """``graphs.bfs_cycle_length`` without its early exit: every edge met by
+    the BFS from ``root`` is scanned."""
+    best = float("inf")
+    dist = {root: 0}
+    parent = {root: -1}
+    queue = deque([root])
+    while queue:
+        x = queue.popleft()
+        for y in g.adjacency[x]:
+            if y not in dist:
+                dist[y] = dist[x] + 1
+                parent[y] = x
+                queue.append(y)
+            elif parent[x] != y:
+                best = min(best, dist[x] + dist[y] + 1)
+    return best
+
+
 def brute_layer_orbits(elements, base: int, layer) -> int:
     """Stabilizer orbits inside one distance layer, from an explicit element list."""
     stabilizer = [e for e in elements if e.images[base] == base]

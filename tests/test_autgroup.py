@@ -7,6 +7,7 @@ from conftest import brute_aut_order, reference_automorphism_group, reference_ca
 from symclass import (
     Graph,
     Permutation,
+    StabilizerChain,
     automorphism_group,
     canonical_form,
     complement,
@@ -209,3 +210,26 @@ def test_cross_verdicts_match_the_reference_search(left, right):
                       _relabelings(REFERENCE_GRAPHS[right](), seed=2)):
         result = is_isomorphic(g1, g2)
         assert (result.isomorphic, result.mapping) == _reference_isomorphism(g1, g2)
+
+
+def _random_graphs(seed: int, count: int) -> list:
+    rng = random.Random(seed)
+    graphs = []
+    for _ in range(count):
+        n = rng.randrange(1, 15)
+        p = rng.choice((0.1, 0.2, 0.35, 0.5))
+        graphs.append(Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                if rng.random() < p]))
+    return graphs
+
+
+def test_order_from_the_search_matches_a_fresh_chain(chain_builds):
+    graphs = (SMALL_GRAPHS + [build() for build in REFERENCE_GRAPHS.values()]
+              + _random_graphs(seed=3, count=120))
+    assert any(not g.is_connected() for g in graphs)
+    for g in graphs:
+        group = automorphism_group(g)
+        chain_builds.clear()
+        order = group.order()
+        assert chain_builds == []
+        assert order == StabilizerChain(g.n, group.generators).order()

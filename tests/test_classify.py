@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -7,13 +6,18 @@ from conftest import brute_arc_check, brute_geodesic_check, brute_is_2dt
 
 import symclass.autgroup as autgroup_module
 import symclass.classify as classify_module
+import symclass.graphs as graphs_module
 from symclass import (
     PermutationGroup,
+    automorphism_group,
     check_condition_3_1,
     check_kantor_conditions,
     classify_pair,
+    diameter,
+    distance_partition,
     edge_action,
     enumerate_subgroups,
+    girth,
     is_2_geodesic_transitive,
     is_complete,
     is_isomorphic,
@@ -65,7 +69,7 @@ from symclass.families import (
     wreath_grid,
     wreath_hamming,
 )
-from symclass.graphs import Graph
+from symclass.graphs import Graph, bfs_cycle_length
 from symclass.perm import Permutation
 
 
@@ -355,7 +359,7 @@ def test_two_arc_cross_check_raises_a_coded_error(monkeypatch):
 
     def wrong_flag(group):
         flags = real(group)
-        return dataclasses.replace(flags, two_transitive=not flags.two_transitive)
+        return flags._replace(two_transitive=not flags.two_transitive)
 
     monkeypatch.setattr(classify_module, "transitivity_degree_tests", wrong_flag)
     graph, group = octahedron().graph, octahedral()
@@ -364,3 +368,42 @@ def test_two_arc_cross_check_raises_a_coded_error(monkeypatch):
     assert info.value.code == "internal-check-failed"
     with pytest.raises(InternalCheckFailed):
         classify_pair(graph, group)
+
+
+def test_classify_pair_builds_no_chain_twice(chain_builds):
+    built = wreath_hamming(sym(3), 3)
+    group = PermutationGroup(built.degree, built.generators)
+    graph = hamming(3, 2).graph
+    chain_builds.clear()
+    classify_pair(graph, group)
+    # G, G_0 and G_{0,a}: the stabilizer for the 2-arc and the 2-geodesic
+    # tuple is the one kept by G_0
+    assert len(chain_builds) == len(set(chain_builds)) == 3
+
+
+def test_vertex_transitive_pair_is_layered_once_from_0(monkeypatch):
+    graph, group = hamming(3, 2).graph, wreath_hamming(sym(3), 3)
+    layered = []
+    real = graphs_module._bfs_layers
+
+    def recording(g, start):
+        layered.append(start)
+        return real(g, start)
+
+    monkeypatch.setattr(graphs_module, "_bfs_layers", recording)
+    report = classify_pair(graph, group)
+    assert (report.girth, report.diameter) == (4, 3)
+    assert layered == [0]
+
+
+def test_intransitive_pair_keeps_the_girth_and_diameter_of_the_whole_graph():
+    # triangles 1 6 7 and 3 4 5 joined through 0 and 2: cubic, and vertex 0
+    # lies on 4-cycles only and has eccentricity 2
+    graph = Graph(8, [(0, 1), (0, 2), (0, 4), (1, 6), (1, 7), (2, 5), (2, 6),
+                      (3, 4), (3, 5), (3, 7), (4, 5), (6, 7)])
+    assert bfs_cycle_length(graph, 0) == 4
+    assert distance_partition(graph, 0).eccentricity == 2
+    for group in (PermutationGroup(8, []), automorphism_group(graph)):
+        assert not group.is_transitive()
+        report = classify_pair(graph, group)
+        assert (report.girth, report.diameter) == (girth(graph), diameter(graph)) == (3, 3)

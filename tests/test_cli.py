@@ -90,20 +90,33 @@ def test_classify_from_edge_file_round_trips_construct(tmp_path, capsys):
     assert json.loads(out)["matched_row"] == "octahedron"
 
 
+def _python(*argv) -> str:
+    """Stdout of a fresh interpreter that imports this checkout's package."""
+    src = str(Path(symclass.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          env=env, check=True, timeout=120).stdout
+
+
 def test_classify_output_is_the_same_under_python_O(tmp_path):
     # -O strips assert statements; the checks inside classify must not depend on them
     group_file = tmp_path / "gens.txt"
     group_file.write_text(format_generator_file(direct_product(sym(2), agl1(5))))
-    src = str(Path(symclass.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     argv = ["-m", "symclass.cli", "classify", "--family", "grid_complement", "--m", "5",
             "--group-file", str(group_file)]
-    outputs = [subprocess.run([sys.executable, *flags, *argv], capture_output=True, text=True,
-                              env=env, check=True, timeout=120).stdout
-               for flags in (["-O"], [])]
+    outputs = [_python(*flags, *argv) for flags in (["-O"], [])]
     assert outputs[0] == outputs[1]
     assert json.loads(outputs[0])["matched_row"] == "grid_complement(5)"
+
+
+def test_import_leaves_dataclasses_and_inspect_unloaded():
+    # dataclasses imports inspect, ast, dis and tokenize, about 1 MB of the
+    # peak memory of every process that imports the package; -S keeps
+    # site-packages hooks from loading them on their own
+    code = ("import sys, symclass, symclass.cli; "
+            "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])")
+    assert _python("-S", "-c", code).strip() == "[]"
 
 
 def test_edge_file_parse_error_reports_line(tmp_path, capsys):

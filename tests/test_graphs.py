@@ -1,6 +1,9 @@
 import math
+import random
 
 import pytest
+
+from conftest import brute_girth, reference_bfs_cycle_length
 
 from symclass import (
     Graph,
@@ -33,6 +36,7 @@ from symclass.families import (
     petersen,
     sym,
 )
+from symclass.graphs import bfs_cycle_length
 
 
 def test_graph_validation():
@@ -74,6 +78,47 @@ def test_girth_values():
     assert girth(cycle(6).graph) == 6
     assert girth(petersen().graph) == 5
     assert girth(Graph(4, [(0, 1), (1, 2), (2, 3)])) == math.inf
+
+
+VERTEX_TRANSITIVE_FAMILIES = [
+    *(complete(n).graph for n in (3, 4, 6)),
+    *(complete_bipartite(m, m).graph for m in (2, 3, 5)),
+    *(cycle(n).graph for n in (3, 5, 6, 9)),
+    *(grid(n, m).graph for n, m in ((2, 3), (3, 3), (3, 4))),
+    *(grid_complement(m).graph for m in range(3, 8)),
+    *(hamming(d, q).graph for d, q in ((2, 2), (3, 2), (4, 2), (6, 2), (2, 3), (3, 3), (2, 4))),
+    octahedron().graph,
+    icosahedron().graph,
+    petersen().graph,
+    line_graph(petersen().graph)[0],
+]
+
+
+def test_bfs_cycle_length_at_0_is_the_girth_of_vertex_transitive_graphs():
+    for g in VERTEX_TRANSITIVE_FAMILIES:
+        assert bfs_cycle_length(g, 0) == girth(g) == brute_girth(g)
+
+
+def test_girth_and_bfs_cycle_length_match_their_oracles():
+    rng = random.Random(5)
+    graphs = [Graph(1), Graph(4, [(0, 1), (1, 2), (2, 3)])]
+    for _ in range(150):
+        n = rng.randrange(2, 14)
+        p = rng.choice((0.15, 0.25, 0.4))
+        graphs.append(Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                if rng.random() < p]))
+    for g in graphs:
+        assert girth(g) == brute_girth(g)
+        for v in range(g.n):
+            assert bfs_cycle_length(g, v) == reference_bfs_cycle_length(g, v) >= girth(g)
+
+
+def test_bfs_cycle_length_off_a_shortest_cycle():
+    # a triangle 2 3 4 with a pendant path 0 - 1 - 2: the BFS from 0 closes
+    # the triangle at the edge 34, at 3 + 3 + 1
+    g = Graph(5, [(0, 1), (1, 2), (2, 3), (2, 4), (3, 4)])
+    assert bfs_cycle_length(g, 0) == 7
+    assert bfs_cycle_length(g, 3) == girth(g) == 3
 
 
 def test_intersection_numbers_grid_complement_6():

@@ -133,6 +133,16 @@ def test_point_stabilizer_of_0_is_read_off_the_chain(factory, expected, chain_bu
     assert stab.order() == brute_order(stab.generators) == expected // len(group.orbit(0))
 
 
+def test_point_stabilizers_are_built_once_per_point(chain_builds):
+    group = octahedral()
+    stabilizers = [group.point_stabilizer(x) for x in (0, 3)]
+    built = len(chain_builds)
+    again = [group.point_stabilizer(x) for x in (0, 3)]
+    assert all(a is b for a, b in zip(again, stabilizers))
+    assert len(chain_builds) == built
+    assert [s.order() for s in stabilizers] == [8, 8]
+
+
 def test_point_stabilizer_of_0_in_a_group_fixing_0():
     group = PermutationGroup(4, [Permutation.from_cycles(4, [(1, 2, 3)]),
                                  Permutation.from_cycles(4, [(1, 2)])])
