@@ -16,17 +16,17 @@ from .claims import (
     Budget,
     CLAIM_DESCRIPTIONS,
     CLAIM_IDS,
+    ClaimVerdict,
+    check_kantor_conditions,
     standard_corpus,
     verify_all_claims,
     verify_claim,
 )
 from .classify import (
-    ClaimVerdict,
     ConditionCheck,
     TransitivityCheck,
     TransitivityReport,
     check_condition_3_1,
-    check_kantor_conditions,
     classify_pair,
     is_2_geodesic_transitive,
     is_s_arc_transitive,

@@ -17,8 +17,14 @@ from . import families
 from .actions import find_block_systems, induced_action, transitivity_degree_tests
 from .autgroup import is_isomorphic
 from .classify import (
-    ClaimVerdict,
-    _pair_girth,
+    ROW_GRID_COMPLEMENT_4,
+    ROW_GRID_COMPLEMENT_5,
+    ROW_GRID_COMPLEMENT_6,
+    ROW_HAMMING_2_3,
+    ROW_ICOSAHEDRON,
+    ROW_LINE_GRAPH,
+    ROW_OCTAHEDRON,
+    TransitivityReport,
     check_condition_3_1,
     classify_pair,
     condition_3_1_examples,
@@ -29,16 +35,58 @@ from .classify import (
 from .errors import UnknownClaim
 from .graphs import (
     Graph,
+    _connected_valency,
+    _intersection_numbers,
     distance_partition,
     edge_action,
-    intersection_numbers,
-    is_complete,
     line_graph,
 )
 from .group import PermutationGroup
 from .numtheory import is_prime, prime_power
 from .perm import Permutation
 from .subgroups import enumerate_subgroups
+
+
+class ClaimVerdict(NamedTuple):
+    """Outcome of one catalog-claim verification."""
+
+    claim: str
+    status: str  # "verified" | "refuted" | "skipped"
+    evidence: dict
+    reason: str | None = None
+
+    def to_dict(self) -> dict:
+        out = {"claim": self.claim, "status": self.status, "evidence": self.evidence}
+        if self.reason is not None:
+            out["reason"] = self.reason
+        return out
+
+
+def check_kantor_conditions(group: PermutationGroup) -> ClaimVerdict:
+    """Arithmetic constraints on a 2-homogeneous, not 2-transitive group:
+    degree a prime power congruent to 3 mod 4, odd order divisible by
+    n(n-1)/2. Skipped unless the precondition holds."""
+    flags = transitivity_degree_tests(group)
+    if not flags.two_homogeneous or flags.two_transitive:
+        return ClaimVerdict(
+            "kantor-conditions", "skipped",
+            {"two_homogeneous": flags.two_homogeneous,
+             "two_transitive": flags.two_transitive},
+            reason="group is not 2-homogeneous-but-not-2-transitive")
+    n = group.degree
+    order = group.order()
+    pp = prime_power(n)
+    checks = {
+        "degree": n,
+        "order": order,
+        "degree_is_prime_power": pp is not None,
+        "degree_3_mod_4": n % 4 == 3,
+        "order_odd": order % 2 == 1,
+        "order_divisible_by_half_pairs": order % (n * (n - 1) // 2) == 0,
+    }
+    ok = (checks["degree_is_prime_power"] and checks["degree_3_mod_4"]
+          and checks["order_odd"] and checks["order_divisible_by_half_pairs"])
+    return ClaimVerdict("kantor-conditions", "verified" if ok else "refuted", checks)
 
 
 class Budget(NamedTuple):
@@ -100,11 +148,13 @@ def standard_corpus() -> tuple:
 
 
 class PairProfile(NamedTuple):
-    """Cached classification facts for one corpus pair."""
+    """The facts the claims read about one corpus pair, each taken from the
+    pair's ``classify_pair`` report."""
 
     name: str
     graph: Graph
     group: PermutationGroup
+    report: TransitivityReport
     girth: object
     valency: int
     complete: bool
@@ -116,24 +166,49 @@ class PairProfile(NamedTuple):
 
 @lru_cache(maxsize=1)
 def corpus_profiles() -> tuple:
+    """One profile per corpus pair, in corpus order: one ``classify_pair``
+    each, and every fact read off its report."""
     profiles = []
     for pair in standard_corpus():
-        g, group = pair.graph, pair.group
-        inter = intersection_numbers(g, 0)
-        dp = distance_partition(g, 0)
+        report = classify_pair(pair.graph, pair.group)
+        triples = report.intersection_triples
         profiles.append(PairProfile(
-            name=pair.name,
-            graph=g,
-            group=group,
-            girth=_pair_girth(g, group),
-            valency=g.valency(),
-            complete=is_complete(g),
-            dt2=bool(is_s_distance_transitive(g, group, 2)),
-            at2=bool(is_s_arc_transitive(g, group, 2)),
-            c2=inter.c(2) if len(inter.triples) > 2 else None,
-            second_layer=len(dp.layer(2)),
+            *pair, report,
+            girth=report.girth,
+            valency=report.valency,
+            complete=report.valency == report.vertex_count - 1,
+            dt2=report.distance_transitive[2],
+            at2=report.arc_transitive[2],
+            c2=triples[2][0] if len(triples) > 2 and triples[2] is not None else None,
+            second_layer=report.neighborhood["second_layer_size"],
         ))
     return tuple(profiles)
+
+
+def _profile(name: str) -> PairProfile:
+    return next(p for p in corpus_profiles() if p.name == name)
+
+
+# each catalog row with the corpus pair that realizes it, its valency and girth
+CATALOG_ROWS = (
+    (ROW_GRID_COMPLEMENT_4, "grid_complement(4)+sym2x4witness", 3, 4),
+    (ROW_OCTAHEDRON, "octahedron+octahedral", 4, 3),
+    (ROW_HAMMING_2_3, "hamming(2,3)+sym3wr_sym2", 4, 3),
+    (ROW_LINE_GRAPH, "line(petersen)+sym5", 4, 3),
+    (ROW_GRID_COMPLEMENT_5, "grid_complement(5)+sym2x5witness", 4, 4),
+    (ROW_ICOSAHEDRON, "icosahedron+rotations", 5, 3),
+    (ROW_GRID_COMPLEMENT_6, "grid_complement(6)+sym2x6witness", 5, 4),
+)
+
+# corpus pairs near a catalog row that must match none
+NEAR_MISSES = ("complete_bipartite(4,4)+wreath", "complete(5)+sym5", "cycle(6)+dihedral")
+
+
+def table_row_reports() -> tuple:
+    """Each catalog row as ``(row, valency, girth, report)``, the report
+    being the one its corpus pair's profile holds."""
+    return tuple((row, valency, girth, _profile(pair).report)
+                 for row, pair, valency, girth in CATALOG_ROWS)
 
 
 @lru_cache(maxsize=1)
@@ -207,15 +282,14 @@ def _claim_l32(budget: Budget) -> ClaimVerdict:
                                "qualifying": qualifying})
     witness_results = {}
     for m in (5, 6):
-        graph = families.grid_complement(m).graph
-        witness = condition_3_1_examples(m)[0]
-        full = families.wreath_grid(m)
+        witness = _profile(f"grid_complement({m})+sym2x{m}witness")
+        full = _profile(f"grid_complement({m})+wreath_grid({m})")
         witness_results[f"m{m}_witness"] = (
-            check_condition_3_1(witness, m).satisfied
-            and _grid_pair_flags(graph, witness))
+            check_condition_3_1(witness.group, m).satisfied
+            and witness.dt2 and not witness.at2)
         witness_results[f"m{m}_full_group_excluded"] = (
-            not check_condition_3_1(full, m).satisfied
-            and not _grid_pair_flags(graph, full))
+            not check_condition_3_1(full.group, m).satisfied
+            and not (full.dt2 and not full.at2))
     ok = not mismatches and all(witness_results.values())
     evidence = {"m4_subgroups": len(subgroups),
                 "m4_condition_count": condition_count,
@@ -307,13 +381,12 @@ def _claim_l41(budget: Budget) -> ClaimVerdict:
     checked = 0
     failures = []
     for name, graph in girth4_graph_corpus():
-        k = graph.valency()
+        k = _connected_valency(graph)
         for u in range(graph.n):
-            inter = intersection_numbers(graph, u)
-            layer2 = len(distance_partition(graph, u).layer(2))
-            c2 = inter.c(2)
+            dp = distance_partition(graph, u)
+            c2 = _intersection_numbers(graph, dp).c(2)
             checked += 1
-            if c2 is None or k * (k - 1) != c2 * layer2:
+            if c2 is None or k * (k - 1) != c2 * len(dp.layer(2)):
                 failures.append(f"{name} at vertex {u}")
     evidence = {"graphs": len(girth4_graph_corpus()),
                 "vertices_checked": checked, "failures": failures}
@@ -355,8 +428,7 @@ def _claim_l42(budget: Budget) -> ClaimVerdict:
 
 
 def _claim_l43(budget: Budget) -> ClaimVerdict:
-    profile = next(p for p in corpus_profiles()
-                   if p.name == "hamming(7,2)+s2wr_frobenius21")
+    profile = _profile("hamming(7,2)+s2wr_frobenius21")
     group = profile.group
     stabilizer = group.point_stabilizer(0)
     flips_inside = all(
@@ -456,11 +528,11 @@ def _claim_c12(budget: Budget) -> ClaimVerdict:
             failures.append(f"{p.name}: c2=2 but valency != 3 mod 4")
         if p.c2 == (pv - 1) // 2:
             part_iii_cases.append(p.name)
-            dp = distance_partition(p.graph, 0)
-            if len(dp.layer(2)) != 2 * pv:
+            if p.second_layer != 2 * pv:
                 failures.append(f"{p.name}: second layer size is not 2p")
             stab = p.group.point_stabilizer(0)
-            restricted, _ = induced_action(stab, [{v} for v in dp.layer(2)])
+            layer2 = distance_partition(p.graph, 0).layer(2)
+            restricted, _ = induced_action(stab, [{v} for v in layer2])
             if not find_block_systems(restricted):
                 failures.append(f"{p.name}: stabilizer is primitive on the second layer")
     evidence = {"prime_valency_pairs": prime_cases,
@@ -470,106 +542,74 @@ def _claim_c12(budget: Budget) -> ClaimVerdict:
     return ClaimVerdict("C1.2", "verified" if ok else "refuted", evidence)
 
 
-@lru_cache(maxsize=1)
-def table_row_reports() -> tuple:
-    """The seven catalog-row instances, each as ``(row, valency, girth,
-    report)`` with its ``classify_pair`` report. Classified once per process."""
-    petersen = families.petersen()
-    lp, _ = line_graph(petersen.graph)
-    instances = [
-        ("grid_complement(4)", families.grid_complement(4).graph,
-         condition_3_1_examples(4)[0], 3, 4),
-        ("octahedron", families.octahedron().graph, families.octahedral(), 4, 3),
-        ("hamming(2,3)", families.hamming(2, 3).graph, families.hamming_full(2, 3), 4, 3),
-        ("line_graph_of_cubic_3_arc_transitive", lp,
-         edge_action(families.petersen_sym5(), petersen.graph), 4, 3),
-        ("grid_complement(5)", families.grid_complement(5).graph,
-         condition_3_1_examples(5)[0], 4, 4),
-        ("icosahedron", families.icosahedron().graph,
-         families.icosahedral_rotations(), 5, 3),
-        ("grid_complement(6)", families.grid_complement(6).graph,
-         condition_3_1_examples(6)[0], 5, 4),
-    ]
-    return tuple((name, valency, girth_expected, classify_pair(graph, group))
-                 for name, graph, group, valency, girth_expected in instances)
-
-
 def _claim_t13(budget: Budget) -> ClaimVerdict:
     failures = []
     matched = 0
-    for name, valency, girth_expected, report in table_row_reports():
-        ok = (report.matched_row == name
+    for row, valency, girth, report in table_row_reports():
+        ok = (report.matched_row == row
               and report.distance_transitive[2]
               and not report.arc_transitive[2]
               and report.valency == valency
-              and report.girth == girth_expected)
+              and report.girth == girth)
         if ok:
             matched += 1
         else:
-            failures.append({"row": name, "matched": report.matched_row,
+            failures.append({"row": row, "matched": report.matched_row,
                              "dt2": report.distance_transitive[2],
                              "at2": report.arc_transitive[2]})
-    near_misses = [
-        ("complete_bipartite(4,4)+wreath", families.complete_bipartite(4, 4).graph,
-         families.wreath_bipartite(4)),
-        ("complete(5)+sym5", families.complete(5).graph, families.sym(5)),
-        ("cycle(6)+dihedral", families.cycle(6).graph, families.dihedral(6)),
-    ]
     clear = 0
-    for name, graph, group in near_misses:
-        report = classify_pair(graph, group)
+    for name in NEAR_MISSES:
+        report = _profile(name).report
         if report.matched_row is None:
             clear += 1
         else:
             failures.append({"near_miss": name, "matched": report.matched_row})
-    evidence = {"rows_matched": matched, "rows_total": 7,
+    evidence = {"rows_matched": matched, "rows_total": len(CATALOG_ROWS),
                 "near_misses_clear": clear, "failures": failures}
-    ok = matched == 7 and clear == len(near_misses)
+    ok = matched == len(CATALOG_ROWS) and clear == len(NEAR_MISSES)
     return ClaimVerdict("T1.3", "verified" if ok else "refuted", evidence)
 
 
-CLAIM_IDS = ("L2.2", "L3.2", "L3.3", "L3.4", "L3.5", "L4.1", "L4.2", "L4.3",
-             "L4.4", "T1.1", "C1.2", "T1.3")
-
-CLAIM_DESCRIPTIONS = {
-    "L2.2": "girth shortcuts: girth >= 5 forces 2-arc transitivity of 2-distance "
-            "transitive pairs; girth 3 non-complete forbids it",
-    "L3.2": "grid complements: 2-DT-not-2-AT coincides with the row-swap / "
-            "2-transitive-column condition (exhaustive at m=4, witnesses at m=5,6)",
-    "L3.3": "complete bipartite: 2-distance transitive iff 2-arc transitive "
-            "(exhaustive for the 2x2 and 3x3 cases)",
-    "L3.4": "octahedron: the qualifying groups are the full wreath group and the "
-            "two index-2 subgroups with full block image",
-    "L3.5": "icosahedron: exactly two subgroups act 2-distance transitively",
-    "L4.1": "girth-4 identity k(k-1) = c2 * |second layer| at every vertex",
-    "L4.2": "girth-4 c2=2 pairs: neighborhood stabilizer 2-homogeneous but not "
-            "2-transitive and valency a prime power = 3 (mod 4)",
-    "L4.3": "binary 7-cube instance: coordinate flips extended by the Frobenius "
-            "group of order 21 is 2-DT-not-2-AT with the product decomposition",
-    "L4.4": "girth-4 boundary: c2=k forces the complete bipartite graph, c2=k-1 "
-            "forces the grid complement (k = 3, 4, 5)",
-    "T1.1": "girth-4 2-DT-not-2-AT pairs satisfy 2 <= c2 <= k-1 with the stated "
-            "boundary structure",
-    "C1.2": "prime-valency girth-4 refinement: c2 divides p-1 with "
-            "2 <= c2 <= (p-1)/2, plus the c2=2 and c2=(p-1)/2 structure",
-    "T1.3": "valency <= 5 catalog: the seven rows are reproduced and near-misses "
-            "match no row",
-}
-
+# the claim catalog, in report order: each code with its verifier and description
 _CLAIMS = {
-    "L2.2": _claim_l22,
-    "L3.2": _claim_l32,
-    "L3.3": _claim_l33,
-    "L3.4": _claim_l34,
-    "L3.5": _claim_l35,
-    "L4.1": _claim_l41,
-    "L4.2": _claim_l42,
-    "L4.3": _claim_l43,
-    "L4.4": _claim_l44,
-    "T1.1": _claim_t11,
-    "C1.2": _claim_c12,
-    "T1.3": _claim_t13,
+    "L2.2": (_claim_l22,
+             "girth shortcuts: girth >= 5 forces 2-arc transitivity of 2-distance "
+             "transitive pairs; girth 3 non-complete forbids it"),
+    "L3.2": (_claim_l32,
+             "grid complements: 2-DT-not-2-AT coincides with the row-swap / "
+             "2-transitive-column condition (exhaustive at m=4, witnesses at m=5,6)"),
+    "L3.3": (_claim_l33,
+             "complete bipartite: 2-distance transitive iff 2-arc transitive "
+             "(exhaustive for the 2x2 and 3x3 cases)"),
+    "L3.4": (_claim_l34,
+             "octahedron: the qualifying groups are the full wreath group and the "
+             "two index-2 subgroups with full block image"),
+    "L3.5": (_claim_l35,
+             "icosahedron: exactly two subgroups act 2-distance transitively"),
+    "L4.1": (_claim_l41,
+             "girth-4 identity k(k-1) = c2 * |second layer| at every vertex"),
+    "L4.2": (_claim_l42,
+             "girth-4 c2=2 pairs: neighborhood stabilizer 2-homogeneous but not "
+             "2-transitive and valency a prime power = 3 (mod 4)"),
+    "L4.3": (_claim_l43,
+             "binary 7-cube instance: coordinate flips extended by the Frobenius "
+             "group of order 21 is 2-DT-not-2-AT with the product decomposition"),
+    "L4.4": (_claim_l44,
+             "girth-4 boundary: c2=k forces the complete bipartite graph, c2=k-1 "
+             "forces the grid complement (k = 3, 4, 5)"),
+    "T1.1": (_claim_t11,
+             "girth-4 2-DT-not-2-AT pairs satisfy 2 <= c2 <= k-1 with the stated "
+             "boundary structure"),
+    "C1.2": (_claim_c12,
+             "prime-valency girth-4 refinement: c2 divides p-1 with "
+             "2 <= c2 <= (p-1)/2, plus the c2=2 and c2=(p-1)/2 structure"),
+    "T1.3": (_claim_t13,
+             "valency <= 5 catalog: the seven rows are reproduced and near-misses "
+             "match no row"),
 }
+
+CLAIM_IDS = tuple(_CLAIMS)
+CLAIM_DESCRIPTIONS = {claim: description for claim, (_, description) in _CLAIMS.items()}
 
 
 def verify_claim(claim: str, budget: Budget = Budget()) -> ClaimVerdict:
@@ -577,7 +617,7 @@ def verify_claim(claim: str, budget: Budget = Budget()) -> ClaimVerdict:
     if key not in _CLAIMS:
         raise UnknownClaim(
             f"unknown claim {claim!r}; known claims: {', '.join(CLAIM_IDS)}")
-    return _CLAIMS[key](budget)
+    return _CLAIMS[key][0](budget)
 
 
 def verify_all_claims(budget: Budget = Budget()) -> list:

@@ -1,6 +1,6 @@
 """Decision procedures for (graph, group) pairs: distance/arc/geodesic
-transitivity, the grid condition, arithmetic conditions on 2-homogeneous
-stabilizers, and classification against the built-in catalog rows."""
+transitivity, the grid condition, and classification against the built-in
+catalog rows."""
 
 from __future__ import annotations
 
@@ -48,7 +48,6 @@ from .graphs import (
     is_complete,
 )
 from .group import PermutationGroup, point_orbit
-from .numtheory import prime_power
 from .perm import Permutation
 
 
@@ -285,48 +284,6 @@ def condition_3_1_examples(m: int) -> list[PermutationGroup]:
     return [group]
 
 
-class ClaimVerdict(NamedTuple):
-    """Outcome of one catalog-claim verification."""
-
-    claim: str
-    status: str  # "verified" | "refuted" | "skipped"
-    evidence: dict
-    reason: str | None = None
-
-    def to_dict(self) -> dict:
-        out = {"claim": self.claim, "status": self.status, "evidence": self.evidence}
-        if self.reason is not None:
-            out["reason"] = self.reason
-        return out
-
-
-def check_kantor_conditions(group: PermutationGroup) -> ClaimVerdict:
-    """Arithmetic constraints on a 2-homogeneous, not 2-transitive group:
-    degree a prime power congruent to 3 mod 4, odd order divisible by
-    n(n-1)/2. Skipped unless the precondition holds."""
-    flags = transitivity_degree_tests(group)
-    if not flags.two_homogeneous or flags.two_transitive:
-        return ClaimVerdict(
-            "kantor-conditions", "skipped",
-            {"two_homogeneous": flags.two_homogeneous,
-             "two_transitive": flags.two_transitive},
-            reason="group is not 2-homogeneous-but-not-2-transitive")
-    n = group.degree
-    order = group.order()
-    pp = prime_power(n)
-    checks = {
-        "degree": n,
-        "order": order,
-        "degree_is_prime_power": pp is not None,
-        "degree_3_mod_4": n % 4 == 3,
-        "order_odd": order % 2 == 1,
-        "order_divisible_by_half_pairs": order % (n * (n - 1) // 2) == 0,
-    }
-    ok = (checks["degree_is_prime_power"] and checks["degree_3_mod_4"]
-          and checks["order_odd"] and checks["order_divisible_by_half_pairs"])
-    return ClaimVerdict("kantor-conditions", "verified" if ok else "refuted", checks)
-
-
 # -- catalog rows -------------------------------------------------------------
 
 ROW_GRID_COMPLEMENT_4 = "grid_complement(4)"
@@ -336,17 +293,6 @@ ROW_LINE_GRAPH = "line_graph_of_cubic_3_arc_transitive"
 ROW_GRID_COMPLEMENT_5 = "grid_complement(5)"
 ROW_ICOSAHEDRON = "icosahedron"
 ROW_GRID_COMPLEMENT_6 = "grid_complement(6)"
-
-TABLE_ROWS = (
-    ROW_GRID_COMPLEMENT_4,
-    ROW_OCTAHEDRON,
-    ROW_HAMMING_2_3,
-    ROW_LINE_GRAPH,
-    ROW_GRID_COMPLEMENT_5,
-    ROW_ICOSAHEDRON,
-    ROW_GRID_COMPLEMENT_6,
-)
-
 
 # the constructors are looked up when a reference is first needed, so a test
 # that replaces one in this module sees every later build
@@ -482,13 +428,6 @@ class TransitivityReport(NamedTuple):
         }
 
 
-def _pair_girth(g: Graph, group: PermutationGroup):
-    """The girth of ``g`` under its automorphism group ``group``. A
-    vertex-transitive group puts every vertex on a shortest cycle, so one BFS
-    from vertex 0 closes one; otherwise every vertex is tried as a root."""
-    return bfs_cycle_length(g, 0) if group.is_transitive() else girth(g)
-
-
 def classify_pair(g: Graph, group: PermutationGroup) -> TransitivityReport:
     """Fill the whole report: transitivity flags, intersection numbers,
     neighborhood orbit counts, girth shortcuts, and the catalog row (with
@@ -496,10 +435,12 @@ def classify_pair(g: Graph, group: PermutationGroup) -> TransitivityReport:
     _validate_pair(g, group, require_regular=True)
     valency = g.valency()
     transitive = group.is_transitive()
-    # every vertex-local fact is read off the one layering from vertex 0; an
-    # intransitive group needs the girth and diameter over all vertices
+    # every vertex-local fact is read off the one layering from vertex 0; a
+    # vertex-transitive group puts vertex 0 on a shortest cycle, so one BFS
+    # closes one, and an intransitive group needs the girth and diameter over
+    # all vertices
     dp = distance_partition(g, 0)
-    girth_value = _pair_girth(g, group)
+    girth_value = bfs_cycle_length(g, 0) if transitive else girth(g)
     complete_graph = is_complete(g)
     dt = {s: _distance_transitivity(g, group, s, dp) for s in (1, 2)}
     at1, _ = _arc_transitivity(g, group, 1)

@@ -238,12 +238,18 @@ class IntersectionNumbers(NamedTuple):
 
 def intersection_numbers(g: Graph, u: int) -> IntersectionNumbers:
     """Edge counts from each vertex of layer i into layers i-1, i, i+1."""
+    _connected_valency(g)
+    return _intersection_numbers(g, distance_partition(g, u))
+
+
+def _connected_valency(g: Graph) -> int:
+    """The valency of ``g``, once it is known to be non-empty, connected and
+    regular: the precondition of ``_intersection_numbers``."""
     if g.n == 0:
         raise InvalidGraph("empty graph")
     if not g.is_connected():
         raise DisconnectedGraph("intersection numbers need a connected graph")
-    g.valency()  # raises IrregularGraph when degrees differ
-    return _intersection_numbers(g, distance_partition(g, u))
+    return g.valency()  # raises IrregularGraph when degrees differ
 
 
 def _intersection_numbers(g: Graph, dp: DistancePartition) -> IntersectionNumbers:

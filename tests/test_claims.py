@@ -1,7 +1,28 @@
+import inspect
+
 import pytest
 
-from symclass import CLAIM_DESCRIPTIONS, CLAIM_IDS, Budget, verify_claim
-from symclass.claims import corpus_profiles, standard_corpus
+from symclass import (
+    CLAIM_DESCRIPTIONS,
+    CLAIM_IDS,
+    Budget,
+    distance_partition,
+    girth,
+    intersection_numbers,
+    is_complete,
+    is_s_arc_transitive,
+    is_s_distance_transitive,
+    verify_all_claims,
+    verify_claim,
+)
+from symclass import claims as claims_module
+from symclass import families
+from symclass.claims import (
+    CATALOG_ROWS,
+    NEAR_MISSES,
+    corpus_profiles,
+    standard_corpus,
+)
 from symclass.errors import UnknownClaim
 
 
@@ -23,6 +44,55 @@ def test_corpus_is_consistent():
     assert len(profiles) == len(standard_corpus()) >= 20
     names = [p.name for p in profiles]
     assert len(set(names)) == len(names)
+
+
+def test_profiles_match_the_deciders():
+    """Each profile fact, read off one report, equals the separate computation
+    that used to produce it."""
+    for p in corpus_profiles():
+        g, group = p.graph, p.group
+        inter = intersection_numbers(g, 0)
+        assert p.girth == girth(g), p.name
+        assert p.valency == g.valency(), p.name
+        assert p.complete == is_complete(g), p.name
+        assert p.dt2 == bool(is_s_distance_transitive(g, group, 2)), p.name
+        assert p.at2 == bool(is_s_arc_transitive(g, group, 2)), p.name
+        assert p.c2 == (inter.c(2) if len(inter.triples) > 2 else None), p.name
+        assert p.second_layer == len(distance_partition(g, 0).layer(2)), p.name
+
+
+def test_claim_suite_classifies_each_corpus_pair_once(monkeypatch):
+    calls = []
+    real = claims_module.classify_pair
+
+    def counting(graph, group):
+        calls.append((id(graph), id(group)))
+        return real(graph, group)
+
+    monkeypatch.setattr(claims_module, "classify_pair", counting)
+    corpus_profiles.cache_clear()
+    assert all(v.status == "verified" for v in verify_all_claims())
+    assert len(set(calls)) == len(calls) <= len(standard_corpus())
+
+
+def test_catalog_rows_claim_builds_and_classifies_nothing(monkeypatch):
+    corpus_profiles()
+    built = []
+    for name, obj in vars(families).items():
+        if inspect.isfunction(obj) and obj.__module__ == families.__name__:
+            monkeypatch.setattr(families, name,
+                                lambda *args, _name=name: built.append(_name))
+    monkeypatch.setattr(claims_module, "classify_pair",
+                        lambda *args: built.append("classify_pair"))
+    assert verify_claim("T1.3").status == "verified"
+    assert built == []
+
+
+def test_catalog_tables_name_corpus_pairs():
+    names = {pair.name for pair in standard_corpus()}
+    assert {pair for _, pair, _, _ in CATALOG_ROWS} <= names
+    assert set(NEAR_MISSES) <= names
+    assert len({row for row, _, _, _ in CATALOG_ROWS}) == len(CATALOG_ROWS) == 7
 
 
 def test_girth_shortcut_claim():

@@ -256,3 +256,19 @@ def test_usage_error_on_unknown_flag(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["classify", "--bogus"])
     assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (("verify-paper", "--all"), "verify_paper_all.json"),
+    (("report",), "report.json"),
+])
+def test_claim_report_bodies_match_the_golden_files(capsys, monkeypatch, argv, golden):
+    """The report bodies without the runtime_ms sidecar, byte for byte. A
+    change that alters claim evidence on purpose regenerates these files with
+    ``python -m symclass.cli <command> | grep -v '"runtime_ms"'``."""
+    monkeypatch.delenv("SYMCLASS_BUDGET", raising=False)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    body = "".join(line for line in out.splitlines(keepends=True)
+                   if '"runtime_ms"' not in line)
+    assert body == (Path(__file__).parent / "golden" / golden).read_text()
