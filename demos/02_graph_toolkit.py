@@ -7,7 +7,6 @@ from symclass import (
     complement,
     distance_partition,
     encode_graph6,
-    enumerate_s_arcs,
     girth,
     intersection_numbers,
     line_graph,
@@ -18,8 +17,6 @@ from symclass.families import (
     grid_complement,
     hamming,
     icosahedron,
-    octahedron,
-    petersen,
 )
 
 # the 2 x m grid complement (complete bipartite minus a perfect matching)
@@ -40,10 +37,6 @@ print("grid_complement(6) triples:", inter.triples)
 ico = icosahedron()
 print("icosahedron layers:",
       [len(layer) for layer in distance_partition(ico.graph, 0).layers])
-
-# s-arc counts: walks without immediate backtracking
-print("2-arcs of the octahedron:", len(enumerate_s_arcs(octahedron().graph, 2)))
-print("3-arcs of the Petersen graph:", len(enumerate_s_arcs(petersen().graph, 3)))
 
 # line graphs: vertices are edges, adjacency is sharing an endpoint
 lk4, edges = line_graph(complete(4).graph)

@@ -43,7 +43,6 @@ from .graphs import (
     diameter,
     distance_partition,
     edge_action,
-    enumerate_s_arcs,
     girth,
     intersection_numbers,
     is_complete,
@@ -66,7 +65,7 @@ __all__ = [
     "TransitivityReport", "automorphism_group", "canonical_form",
     "check_condition_3_1", "check_kantor_conditions", "classify_pair",
     "complement", "decode_graph6", "decode_graph6_lines", "diameter",
-    "distance_partition", "edge_action", "encode_graph6", "enumerate_s_arcs",
+    "distance_partition", "edge_action", "encode_graph6",
     "enumerate_subgroups", "find_block_systems", "format_generator_file",
     "girth", "induced_action", "intersection_numbers", "is_2_geodesic_transitive",
     "is_complete", "is_isomorphic", "is_primitive", "is_s_arc_transitive",

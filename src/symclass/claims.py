@@ -15,7 +15,6 @@ from typing import NamedTuple
 
 from . import families
 from .actions import find_block_systems, induced_action, transitivity_degree_tests
-from .autgroup import is_isomorphic
 from .classify import (
     ROW_GRID_COMPLEMENT_4,
     ROW_GRID_COMPLEMENT_5,
@@ -25,11 +24,13 @@ from .classify import (
     ROW_LINE_GRAPH,
     ROW_OCTAHEDRON,
     TransitivityReport,
+    _arc_transitivity,
+    _distance_transitivity,
+    _match_reference,
+    _validate_pair,
     check_condition_3_1,
     classify_pair,
     condition_3_1_examples,
-    is_s_arc_transitive,
-    is_s_distance_transitive,
     neighborhood_action,
 )
 from .errors import UnknownClaim
@@ -257,10 +258,14 @@ def _claim_l22(budget: Budget) -> ClaimVerdict:
     return ClaimVerdict("L2.2", "verified" if not failures else "refuted", evidence)
 
 
-def _grid_pair_flags(graph: Graph, subgroup: PermutationGroup) -> bool:
-    dt2 = is_s_distance_transitive(graph, subgroup, 2)
-    at2 = is_s_arc_transitive(graph, subgroup, 2)
-    return bool(dt2) and not bool(at2)
+def _subgroup_flags(graph: Graph, ambient: PermutationGroup, subgroups) -> list:
+    """``(dt2, at2)`` for each subgroup of ``ambient``. The pair is validated
+    once, through the ambient group's generators (every subgroup element is
+    then an automorphism too), and the graph is layered once from vertex 0."""
+    _validate_pair(graph, ambient)
+    dp = distance_partition(graph, 0)
+    return [(bool(_distance_transitivity(graph, sub, 2, dp)),
+             bool(_arc_transitivity(graph, sub, 2)[0])) for sub in subgroups]
 
 
 def _claim_l32(budget: Budget) -> ClaimVerdict:
@@ -272,9 +277,9 @@ def _claim_l32(budget: Budget) -> ClaimVerdict:
     subgroups = enumerate_subgroups(wreath, budget.subgroup_order_cap)
     mismatches = []
     condition_count = 0
-    for sub in subgroups:
+    for sub, (dt2, at2) in zip(subgroups, _subgroup_flags(graph4, wreath, subgroups)):
         condition = check_condition_3_1(sub, 4).satisfied
-        qualifying = _grid_pair_flags(graph4, sub)
+        qualifying = dt2 and not at2
         if condition:
             condition_count += 1
         if condition != qualifying:
@@ -309,9 +314,7 @@ def _claim_l33(budget: Budget) -> ClaimVerdict:
         graph = families.complete_bipartite(m, m).graph
         subgroups = enumerate_subgroups(wreath, budget.subgroup_order_cap)
         dt_count = at_count = 0
-        for sub in subgroups:
-            dt2 = bool(is_s_distance_transitive(graph, sub, 2))
-            at2 = bool(is_s_arc_transitive(graph, sub, 2))
+        for sub, (dt2, at2) in zip(subgroups, _subgroup_flags(graph, wreath, subgroups)):
             dt_count += dt2
             at_count += at2
             if dt2 != at2:
@@ -336,9 +339,7 @@ def _claim_l34(budget: Budget) -> ClaimVerdict:
     any_at = False
     index2_images = []
     small_block_image_dt = None
-    for sub in subgroups:
-        dt2 = bool(is_s_distance_transitive(graph, sub, 2))
-        at2 = bool(is_s_arc_transitive(graph, sub, 2))
+    for sub, (dt2, at2) in zip(subgroups, _subgroup_flags(graph, full, subgroups)):
         any_at = any_at or at2
         if dt2:
             dt_orders.append(sub.order())
@@ -370,8 +371,8 @@ def _claim_l35(budget: Budget) -> ClaimVerdict:
         return skip
     graph = families.icosahedron().graph
     subgroups = enumerate_subgroups(full, budget.subgroup_order_cap)
-    dt_orders = sorted(sub.order() for sub in subgroups
-                       if is_s_distance_transitive(graph, sub, 2))
+    dt_orders = sorted(sub.order() for sub, (dt2, _) in
+                       zip(subgroups, _subgroup_flags(graph, full, subgroups)) if dt2)
     ok = dt_orders == [60, 120]
     return ClaimVerdict("L3.5", "verified" if ok else "refuted",
                         {"subgroups": len(subgroups), "two_dt_orders": dt_orders})
@@ -451,20 +452,16 @@ def _claim_l44(budget: Budget) -> ClaimVerdict:
     failures = []
     instances = {"c2_equals_k": 0, "c2_equals_k_minus_1": 0}
     for k in (3, 4, 5):
-        bipartite = families.complete_bipartite(k, k).graph
-        gridcomp = families.grid_complement(k + 1).graph
         for p in corpus_profiles():
             if p.girth != 4 or not p.dt2 or p.valency != k:
                 continue
             if p.c2 == k:
                 instances["c2_equals_k"] += 1
-                iso = is_isomorphic(p.graph, bipartite)
-                if not iso:
+                if not _match_reference(p.graph, f"complete_bipartite({k},{k})"):
                     failures.append(f"{p.name}: expected complete bipartite")
             elif p.c2 == k - 1:
                 instances["c2_equals_k_minus_1"] += 1
-                iso = is_isomorphic(p.graph, gridcomp)
-                if not iso:
+                if not _match_reference(p.graph, f"grid_complement({k + 1})"):
                     failures.append(f"{p.name}: expected grid complement")
     ok = not failures and all(v > 0 for v in instances.values())
     evidence = {**instances, "failures": failures}
@@ -487,8 +484,7 @@ def _claim_t11(budget: Budget) -> ClaimVerdict:
             continue
         if p.c2 == k - 1:
             boundary += 1
-            reference = families.grid_complement(k + 1)
-            iso = is_isomorphic(p.graph, reference.graph)
+            iso = _match_reference(p.graph, f"grid_complement({k + 1})")
             if not iso:
                 failures.append(f"{p.name}: c2=k-1 but not a grid complement")
                 continue
@@ -519,8 +515,10 @@ def _claim_c12(budget: Budget) -> ClaimVerdict:
             continue
         prime_cases.append(p.name)
         pv = p.valency
-        reference = families.grid_complement(pv + 1)
-        if p.graph.n == reference.graph.n and is_isomorphic(p.graph, reference.graph):
+        # grid_complement(p + 1) has 2(p + 1) vertices; the count decides
+        # before a reference is built
+        if (p.graph.n == 2 * (pv + 1)
+                and _match_reference(p.graph, f"grid_complement({pv + 1})")):
             continue
         if not (p.c2 is not None and (pv - 1) % p.c2 == 0 and 2 <= p.c2 <= (pv - 1) // 2):
             failures.append(f"{p.name}: c2={p.c2} violates the divisibility bound")

@@ -28,6 +28,7 @@ from .errors import (
 from .families import (
     agl1,
     alt,
+    complete_bipartite,
     direct_product,
     grid_complement,
     hamming,
@@ -47,7 +48,7 @@ from .graphs import (
     girth,
     is_complete,
 )
-from .group import PermutationGroup, point_orbit
+from .group import PermutationGroup
 from .perm import Permutation
 
 
@@ -78,17 +79,17 @@ def _validate_pair(g: Graph, group: PermutationGroup, require_regular: bool = Fa
         g.valency()
 
 
-def _orbit_counts_within(stab: PermutationGroup, subset) -> int:
-    remaining = set(subset)
-    count = 0
-    while remaining:
-        x = min(remaining)
-        orbit = stab.orbit(x)
-        if not set(orbit) <= set(subset):  # pragma: no cover - distance preserved
+def _layer_orbit_counts(group: PermutationGroup, dp: DistancePartition) -> list[int]:
+    """The number of ``G_0`` orbits in each distance layer from vertex 0, read
+    off the stabilizer's kept orbit partition."""
+    distance = {v: i for i, layer in enumerate(dp.layers) for v in layer}
+    counts = [0] * len(dp.layers)
+    for orbit in group.point_stabilizer(0).orbits():
+        i = distance[orbit[0]]
+        if any(distance[v] != i for v in orbit):  # pragma: no cover - distance preserved
             raise InternalCheckFailed("stabilizer orbit left a distance layer")
-        remaining.difference_update(orbit)
-        count += 1
-    return count
+        counts[i] += 1
+    return counts
 
 
 def is_s_distance_transitive(g: Graph, group: PermutationGroup, s: int) -> TransitivityCheck:
@@ -113,13 +114,9 @@ def _distance_transitivity(g: Graph, group: PermutationGroup, s: int,
         return TransitivityCheck(
             False, f"s={s} exceeds the diameter {dp.eccentricity}",
             {"diameter": dp.eccentricity})
-    stab = group.point_stabilizer(0)
-    layer_orbits = {}
-    ok = True
-    for i in range(1, s + 1):
-        layer_orbits[i] = _orbit_counts_within(stab, dp.layers[i])
-        if layer_orbits[i] != 1:
-            ok = False
+    counts = _layer_orbit_counts(group, dp)
+    layer_orbits = {i: counts[i] for i in range(1, s + 1)}
+    ok = all(c == 1 for c in layer_orbits.values())
     return TransitivityCheck(
         ok, None if ok else "stabilizer is intransitive on a layer",
         {"layer_orbit_counts": layer_orbits,
@@ -131,13 +128,13 @@ def _tuple_orbit_size(group: PermutationGroup, start: tuple) -> int:
     it: |x0^G| * |x1^(G_x0)| * |x2^(G_x0,x1)| * ... A point that occurred
     before is fixed by the stabilizer so far and contributes a factor of 1.
     For a tuple starting at 0 the first stabilizer is read off the group's
-    own chain."""
+    own chain, and every orbit is read off a kept partition."""
     points = list(dict.fromkeys(start))
     size = 1
     for x in points[:-1]:
-        size *= len(point_orbit(group.generators, x))
+        size *= len(group.orbit(x))
         group = group.point_stabilizer(x)
-    return size * len(point_orbit(group.generators, points[-1]))
+    return size * len(group.orbit(points[-1]))
 
 
 def _first_arc(g: Graph, s: int) -> tuple:
@@ -295,21 +292,24 @@ ROW_ICOSAHEDRON = "icosahedron"
 ROW_GRID_COMPLEMENT_6 = "grid_complement(6)"
 
 # the constructors are looked up when a reference is first needed, so a test
-# that replaces one in this module sees every later build
+# that replaces one in this module sees every later build; besides the catalog
+# rows, the girth-4 claims compare against grid complements and complete
+# bipartite graphs of valency k = 3 .. 7 (the corpus valencies)
 _REFERENCE_FAMILIES = {
-    ROW_GRID_COMPLEMENT_4: lambda: grid_complement(4),
     ROW_OCTAHEDRON: lambda: octahedron(),
     ROW_HAMMING_2_3: lambda: hamming(2, 3),
-    ROW_GRID_COMPLEMENT_5: lambda: grid_complement(5),
     ROW_ICOSAHEDRON: lambda: icosahedron(),
-    ROW_GRID_COMPLEMENT_6: lambda: grid_complement(6),
+    **{f"grid_complement({k + 1})": lambda k=k: grid_complement(k + 1) for k in range(3, 8)},
+    **{f"complete_bipartite({k},{k})": lambda k=k: complete_bipartite(k, k)
+       for k in range(3, 8)},
 }
 
 
 @cache
 def _reference(row: str) -> tuple:
-    """The family graph of a catalog row and its canonical form. Built on
-    first use, not at import, and kept for the life of the process."""
+    """A reference family graph (a catalog row's, or one named by a girth-4
+    claim) and its canonical form. Built on first use, not at import, and
+    kept for the life of the process."""
     graph = _REFERENCE_FAMILIES[row]().graph
     return graph, canonical_form(graph)
 
@@ -452,10 +452,10 @@ def classify_pair(g: Graph, group: PermutationGroup) -> TransitivityReport:
     neighborhood: dict = {"neighborhood_size": valency,
                           "second_layer_size": len(dp.layer(2))}
     if transitive and valency >= 1:
-        stab = group.point_stabilizer(0)
-        neighborhood["orbits_on_neighbors"] = _orbit_counts_within(stab, dp.layer(1))
+        counts = _layer_orbit_counts(group, dp)
+        neighborhood["orbits_on_neighbors"] = counts[1]
         if dp.layer(2):
-            neighborhood["orbits_on_second_layer"] = _orbit_counts_within(stab, dp.layer(2))
+            neighborhood["orbits_on_second_layer"] = counts[2]
         if valency >= 2:
             # the 2-arc check computed the neighborhood action's flags exactly
             # when the group is vertex-transitive and the valency is at least 2

@@ -285,27 +285,6 @@ def _intersection_numbers(g: Graph, dp: DistancePartition) -> IntersectionNumber
     return IntersectionNumbers(dp.base, tuple(triples), tuple(flags))
 
 
-def enumerate_s_arcs(g: Graph, s: int) -> list[tuple]:
-    """All s-arcs (paths allowed to repeat, but with no immediate backtrack),
-    in lexicographic order."""
-    if s not in (1, 2, 3):
-        raise ParameterError("s must be 1, 2 or 3")
-    arcs = [(v,) for v in range(g.n)]
-    for _ in range(s):
-        arcs = [
-            arc + (w,)
-            for arc in arcs
-            for w in g.adjacency[arc[-1]]
-            if len(arc) < 2 or w != arc[-2]
-        ]
-    arcs.sort()
-    if s == 2 and g.n > 0 and g.is_regular():
-        k = g.valency()
-        if len(arcs) != g.n * k * (k - 1):  # pragma: no cover
-            raise InternalCheckFailed(f"{len(arcs)} 2-arcs, expected n*k*(k-1)")
-    return arcs
-
-
 def line_graph(g: Graph):
     """Line graph plus the list mapping its vertex index to the source edge."""
     edges = g.edges()

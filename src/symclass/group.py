@@ -195,12 +195,12 @@ class StabilizerChain:
 class PermutationGroup:
     """A group of permutations of {0..degree-1} given by generators.
 
-    The stabilizer chain and each point stabilizer are built lazily on first
-    use and cached; instances are immutable afterwards and safe to share
-    between threads.
+    The stabilizer chain, each point stabilizer and each orbit are computed
+    lazily on first use and kept; instances are immutable afterwards and safe
+    to share between threads.
     """
 
-    __slots__ = ("degree", "generators", "_chain", "_order", "_stabilizers")
+    __slots__ = ("degree", "generators", "_chain", "_order", "_stabilizers", "_orbit_of")
 
     def __init__(self, degree: int, generators=()):
         if degree < 1:
@@ -219,6 +219,9 @@ class PermutationGroup:
         # search), so that order() needs no chain
         self._order = None
         self._stabilizers = {}
+        # point -> its orbit, filled one orbit at a time: deciding transitivity
+        # walks the orbit of 0 only
+        self._orbit_of = {}
 
     @property
     def chain(self) -> StabilizerChain:
@@ -237,19 +240,18 @@ class PermutationGroup:
         return all(g.is_identity() for g in self.generators)
 
     def orbit(self, x: int) -> tuple:
-        """The orbit of ``x``, in ascending point order."""
+        """The orbit of ``x``, in ascending point order, walked once per group."""
         if not 0 <= x < self.degree:
             raise ParameterError(f"point {x} out of range for degree {self.degree}")
-        return tuple(sorted(point_orbit(self.generators, x)))
+        orb = self._orbit_of.get(x)
+        if orb is None:
+            orb = tuple(sorted(point_orbit(self.generators, x)))
+            self._orbit_of.update(dict.fromkeys(orb, orb))
+        return orb
 
     def orbits(self) -> list[tuple]:
-        out = []
-        remaining = set(range(self.degree))
-        while remaining:
-            orb = self.orbit(min(remaining))
-            out.append(orb)
-            remaining.difference_update(orb)
-        return out
+        """The orbit partition, ordered by least point."""
+        return [orb for x in range(self.degree) if (orb := self.orbit(x))[0] == x]
 
     def is_transitive(self) -> bool:
         return len(self.orbit(0)) == self.degree

@@ -15,8 +15,8 @@ from symclass import (
     PermutationGroup,
     StabilizerChain,
     encode_graph6,
-    enumerate_s_arcs,
 )
+from symclass.errors import ParameterError
 
 
 @pytest.fixture
@@ -130,6 +130,26 @@ def brute_is_2dt(g: Graph, elements) -> bool:
     if dp.eccentricity < 2:
         return False
     return all(brute_layer_orbits(elements, 0, dp.layers[i]) == 1 for i in (1, 2))
+
+
+def enumerate_s_arcs(g: Graph, s: int) -> list[tuple]:
+    """All s-arcs (paths allowed to repeat, but with no immediate backtrack),
+    in lexicographic order: the list the arc and geodesic oracles walk."""
+    if s not in (1, 2, 3):
+        raise ParameterError("s must be 1, 2 or 3")
+    arcs = [(v,) for v in range(g.n)]
+    for _ in range(s):
+        arcs = [
+            arc + (w,)
+            for arc in arcs
+            for w in g.adjacency[arc[-1]]
+            if len(arc) < 2 or w != arc[-2]
+        ]
+    arcs.sort()
+    if s == 2 and g.n > 0 and g.is_regular():
+        k = g.valency()
+        assert len(arcs) == g.n * k * (k - 1), "2-arcs must number n*k*(k-1)"
+    return arcs
 
 
 def brute_tuple_orbit(gens, start: tuple) -> set:
@@ -378,6 +398,19 @@ def _reference_orbit(gens: list, x: int) -> set:
                 orbit.add(p.images[a])
                 queue.append(p.images[a])
     return orbit
+
+
+def walk_layer_orbit_counts(stab: PermutationGroup, subset) -> int:
+    """Orbits of ``stab`` inside ``subset``, one walk from the least point not
+    yet covered, independent of the kept orbit partition."""
+    remaining = set(subset)
+    count = 0
+    while remaining:
+        orbit = _reference_orbit(stab.generators, min(remaining))
+        assert orbit <= set(subset), "a stabilizer orbit left its layer"
+        remaining -= orbit
+        count += 1
+    return count
 
 
 def reference_automorphism_group(g: Graph) -> PermutationGroup:

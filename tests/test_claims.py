@@ -2,11 +2,15 @@ import inspect
 
 import pytest
 
+import symclass.autgroup as autgroup_module
+import symclass.classify as classify_module
+import symclass.graphs as graphs_module
 from symclass import (
     CLAIM_DESCRIPTIONS,
     CLAIM_IDS,
     Budget,
     distance_partition,
+    enumerate_subgroups,
     girth,
     intersection_numbers,
     is_complete,
@@ -183,3 +187,56 @@ def test_budget_skip():
     assert verdict.status == "skipped"
     assert "budget" in verdict.reason
     assert verdict.to_dict()["reason"]
+
+
+def test_girth4_claims_build_and_canonicalize_no_reference(monkeypatch):
+    claims = ("L4.4", "T1.1", "C1.2")
+    # the first run warms the corpus and the process's reference cache
+    assert all(verify_claim(claim).status == "verified" for claim in claims)
+    built = []
+    for module in (families, classify_module):
+        for name, obj in vars(module).items():
+            if inspect.isfunction(obj) and obj.__module__ == families.__name__:
+                monkeypatch.setattr(module, name,
+                                    lambda *args, _name=name: built.append(_name))
+    canonical = []
+    real_canonical_form = autgroup_module.canonical_form
+
+    def recording(g):
+        canonical.append(g)
+        return real_canonical_form(g)
+
+    monkeypatch.setattr(classify_module, "canonical_form", recording)
+    monkeypatch.setattr(autgroup_module, "canonical_form", recording)
+    assert all(verify_claim(claim).status == "verified" for claim in claims)
+    assert built == []
+    corpus_graphs = [p.graph for p in corpus_profiles()]
+    assert canonical
+    assert all(any(g is h for h in corpus_graphs) for g in canonical)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: (families.octahedron().graph, families.octahedral()),
+    lambda: (families.grid_complement(4).graph, families.wreath_grid(4)),
+], ids=["octahedron", "grid_complement(4)"])
+def test_subgroup_flags_match_the_public_deciders(monkeypatch, build):
+    graph, full = build()
+    subgroups = enumerate_subgroups(full)
+    expected = [(bool(is_s_distance_transitive(graph, sub, 2)),
+                 bool(is_s_arc_transitive(graph, sub, 2))) for sub in subgroups]
+    calls = []
+
+    def recording(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    recording(claims_module, "_validate_pair")
+    recording(graphs_module, "_bfs_layers")
+    # one validation and one layering for all the subgroups
+    assert claims_module._subgroup_flags(graph, full, subgroups) == expected
+    assert calls == ["_validate_pair", "_bfs_layers"]

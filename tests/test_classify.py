@@ -2,11 +2,17 @@ import random
 
 import pytest
 
-from conftest import brute_arc_check, brute_geodesic_check, brute_is_2dt
+from conftest import (
+    brute_arc_check,
+    brute_geodesic_check,
+    brute_is_2dt,
+    walk_layer_orbit_counts,
+)
 
 import symclass.autgroup as autgroup_module
 import symclass.classify as classify_module
 import symclass.graphs as graphs_module
+import symclass.group as group_module
 from symclass import (
     PermutationGroup,
     automorphism_group,
@@ -407,3 +413,47 @@ def test_intransitive_pair_keeps_the_girth_and_diameter_of_the_whole_graph():
         assert not group.is_transitive()
         report = classify_pair(graph, group)
         assert (report.girth, report.diameter) == (girth(graph), diameter(graph)) == (3, 3)
+
+
+def test_classify_pair_walks_no_orbit_twice(monkeypatch):
+    """Every orbit a decider reads comes from a group's kept partition, so
+    one classify_pair walks no orbit twice under the same generators."""
+    assert not hasattr(classify_module, "point_orbit")
+    walks = []
+    real = group_module.point_orbit
+
+    def recording(generators, x):
+        orbit = real(generators, x)
+        walks.append((tuple(generators), frozenset(orbit)))
+        return orbit
+
+    monkeypatch.setattr(group_module, "point_orbit", recording)
+    for pair in standard_corpus():
+        group = PermutationGroup(pair.group.degree, pair.group.generators)
+        walks.clear()
+        classify_pair(pair.graph, group)
+        assert walks, pair.name
+        assert len(set(walks)) == len(walks), pair.name
+
+
+def _random_word(rng, group):
+    word = Permutation.identity(group.degree)
+    for _ in range(rng.randint(1, 12)):
+        word = word * rng.choice(group.generators)
+    return word
+
+
+def test_layer_orbit_counts_match_the_layer_walk():
+    rng = random.Random(7)
+    for pair in standard_corpus():
+        dp = distance_partition(pair.graph, 0)
+        # the pair's group, and subgroups of it generated by one or two random
+        # words (mostly intransitive; they still preserve the graph)
+        groups = [pair.group] + [
+            PermutationGroup(pair.group.degree,
+                             [_random_word(rng, pair.group) for _ in range(rng.randint(1, 2))])
+            for _ in range(4)]
+        for group in groups:
+            stab = group.point_stabilizer(0)
+            expected = [walk_layer_orbit_counts(stab, layer) for layer in dp.layers]
+            assert classify_module._layer_orbit_counts(group, dp) == expected, pair.name

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import brute_girth, reference_bfs_cycle_length
+from conftest import brute_girth, enumerate_s_arcs, reference_bfs_cycle_length
 
 from symclass import (
     Graph,
@@ -11,7 +11,6 @@ from symclass import (
     diameter,
     distance_partition,
     edge_action,
-    enumerate_s_arcs,
     girth,
     intersection_numbers,
     is_complete,

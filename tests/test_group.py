@@ -1,6 +1,10 @@
+import random
+
 import pytest
 
-from conftest import brute_closure, brute_order
+from conftest import _reference_orbit, brute_closure, brute_order
+
+import symclass.group as group_module
 
 from symclass import (
     Permutation,
@@ -9,6 +13,7 @@ from symclass import (
     format_generator_file,
     parse_generator_file,
 )
+from symclass.claims import standard_corpus
 from symclass.errors import DegreeMismatch, ParseError, SizeCapExceeded
 from symclass.families import (
     agl1,
@@ -239,3 +244,59 @@ def test_degree_one_chain():
     assert group.order() == 1 and e in group
     assert group.point_stabilizer(0).order() == 1
 
+
+
+def _random_groups(rng, count: int) -> list:
+    """Groups generated by permutations of random subsets of the points, so
+    that most of them are intransitive; degree 1 and no generators included."""
+    groups = []
+    for _ in range(count):
+        n = rng.randint(1, 12)
+        gens = []
+        for _ in range(rng.randint(0, 3)):
+            support = rng.sample(range(n), rng.randint(1, n))
+            images = list(range(n))
+            for a, b in zip(support, rng.sample(support, len(support))):
+                images[a] = b
+            gens.append(Permutation(images))
+        groups.append(PermutationGroup(n, gens))
+    return groups
+
+
+def test_kept_orbit_partition_matches_the_reference_walk():
+    groups = [p.group for p in standard_corpus()] + _random_groups(random.Random(3), 60)
+    assert any(not g.is_transitive() for g in groups)
+    for built in groups:
+        expected = []
+        for x in range(built.degree):
+            orbit = tuple(sorted(_reference_orbit(built.generators, x)))
+            if orbit[0] == x:
+                expected.append(orbit)
+        # the partition is filled lazily, so read it in two different orders
+        first = PermutationGroup(built.degree, built.generators)
+        assert first.is_transitive() == (len(expected) == 1)
+        assert first.orbits() == expected
+        second = PermutationGroup(built.degree, built.generators)
+        for x in reversed(range(built.degree)):
+            assert second.orbit(x) == next(o for o in expected if x in o)
+        assert second.orbits() == expected
+        assert second.is_transitive() == (len(expected) == 1)
+
+
+def test_each_orbit_is_walked_once_and_transitivity_walks_only_the_orbit_of_0(monkeypatch):
+    walks = []
+    real = group_module.point_orbit
+
+    def recording(generators, x):
+        orbit = real(generators, x)
+        walks.append(orbit)
+        return orbit
+
+    monkeypatch.setattr(group_module, "point_orbit", recording)
+    # two fixed points, a 3-cycle and a transposition
+    group = PermutationGroup(7, [Permutation.parse("(3 4 5)(6 7)", 7)])
+    assert not group.is_transitive()
+    assert walks == [{0}]
+    assert group.orbits() == [(0,), (1,), (2, 3, 4), (5, 6)]
+    assert group.orbit(4) == (2, 3, 4) and not group.is_transitive()
+    assert walks == [{0}, {1}, {2, 3, 4}, {5, 6}]
