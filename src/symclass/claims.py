@@ -45,7 +45,7 @@ from .graphs import (
 from .group import PermutationGroup
 from .numtheory import is_prime, prime_power
 from .perm import Permutation
-from .subgroups import enumerate_subgroups
+from .subgroups import SUBGROUP_ORDER_CAP, enumerate_subgroups
 
 
 class ClaimVerdict(NamedTuple):
@@ -94,7 +94,7 @@ class Budget(NamedTuple):
     """Caps for the expensive searches; override via CLI --budget or the
     SYMCLASS_BUDGET environment variable."""
 
-    subgroup_order_cap: int = 400
+    subgroup_order_cap: int = SUBGROUP_ORDER_CAP
 
 
 class CorpusPair(NamedTuple):

@@ -22,6 +22,7 @@ from .errors import DegreeMismatch, ParameterError, ParseError, SymclassError
 from .graph6 import decode_graph6, decode_graph6_lines, encode_graph6
 from .graphs import Graph
 from .group import PermutationGroup, format_generator_file, parse_generator_file
+from .subgroups import SUBGROUP_ORDER_CAP
 
 _BUDGET_ENV = "SYMCLASS_BUDGET"
 
@@ -300,8 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("claims", nargs="*")
     verify.add_argument("--all", action="store_true")
     verify.add_argument("--budget",
-                        help="subgroup-enumeration order cap (default 400, "
-                             f"or ${_BUDGET_ENV})")
+                        help="subgroup-enumeration order cap (default "
+                             f"{SUBGROUP_ORDER_CAP}, or ${_BUDGET_ENV})")
     verify.set_defaults(func=_cmd_verify_paper)
 
     report = sub.add_parser("report",

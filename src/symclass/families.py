@@ -1,18 +1,21 @@
 """Constructors for the named graph and group families, with fixed labelings.
 
 Every graph constructor returns a :class:`LabeledFamily` whose label map and
-canonical symmetry generators are deterministic, so downstream reports are
-reproducible. Group constructors assert the expected order via the stabilizer
-chain on construction.
+symmetry group are deterministic, so downstream reports are reproducible. Each
+group is built once and its order checked through its stabilizer chain; the
+graph families of known shape also check valency, girth and diameter from
+vertex 0. A failed check raises :class:`InternalCheckFailed`, under
+``python -O`` as well.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from itertools import combinations
 
-from .errors import ParameterError, UnknownFamily
-from .graphs import Graph, complement, diameter, girth
+from .errors import InternalCheckFailed, ParameterError, UnknownFamily
+from .graphs import Graph, bfs_cycle_length, complement, distance_partition
 from .group import PermutationGroup
 from .numtheory import is_prime, smallest_primitive_root
 from .perm import Permutation
@@ -23,22 +26,22 @@ def preserves_graph(p: Permutation, g: Graph) -> bool:
 
 
 class LabeledFamily:
-    """A graph together with its structured vertex labels and the canonical
-    generators of its natural symmetry group."""
+    """A graph together with its structured vertex labels and the natural
+    symmetry group it was built with."""
 
-    __slots__ = ("name", "graph", "labels", "generators")
+    __slots__ = ("name", "graph", "labels", "_group")
 
-    def __init__(self, name: str, graph: Graph, labels: tuple, generators: tuple):
+    def __init__(self, name: str, graph: Graph, labels: tuple, group: PermutationGroup):
         if len(labels) != graph.n or len(set(labels)) != graph.n:
             raise ParameterError(f"{name}: labels are not a bijection")
-        for p in generators:
+        for p in group.generators:
             if p.degree != graph.n or not preserves_graph(p, graph):
                 raise ParameterError(
                     f"{name}: generator {p.cycle_string()} does not preserve the graph")
         self.name = name
         self.graph = graph
         self.labels = labels
-        self.generators = generators
+        self._group = group
 
     def index_of(self, label) -> int:
         try:
@@ -50,7 +53,39 @@ class LabeledFamily:
         return self.labels[index]
 
     def symmetry_group(self) -> PermutationGroup:
-        return PermutationGroup(self.graph.n, self.generators)
+        """The group the family was built with, its chain already built."""
+        return self._group
+
+
+def _checked(group: PermutationGroup, order: int) -> PermutationGroup:
+    """``group``, once its stabilizer chain gives the order it was built to have."""
+    if group.order() != order:
+        raise InternalCheckFailed(
+            f"group of degree {group.degree} has order {group.order()}, expected {order}")
+    return group
+
+
+def _checked_shape(fam: LabeledFamily, valency: int, girth: int,
+                   diameter: int) -> LabeledFamily:
+    """``fam``, once its graph has the expected valency, girth and diameter.
+
+    The family's group is checked to be transitive first. The graph is then
+    vertex-transitive, so a BFS from vertex 0 gives the girth
+    (``bfs_cycle_length``) and the diameter (the eccentricity of 0), and
+    reaches every vertex exactly when the graph is connected.
+    """
+    g = fam.graph
+    if not fam.symmetry_group().is_transitive():
+        raise InternalCheckFailed(f"{fam.name}: the family's group is not transitive")
+    layers = distance_partition(g, 0)
+    found = (g.valency(), bfs_cycle_length(g, 0), layers.eccentricity,
+             sum(map(len, layers.layers)))
+    expected = (valency, girth, diameter, g.n)
+    if found != expected:
+        raise InternalCheckFailed(
+            f"{fam.name}: (valency, girth, diameter, vertices reached from 0) is "
+            f"{found}, expected {expected}")
+    return fam
 
 
 # -- basic permutation groups ------------------------------------------------
@@ -64,9 +99,7 @@ def sym(n: int) -> PermutationGroup:
         gens.append(Permutation.from_cycles(n, [(0, 1)]))
     if n >= 3:
         gens.append(Permutation.from_cycles(n, [tuple(range(n))]))
-    group = PermutationGroup(n, gens)
-    assert group.order() == _factorial(n)
-    return group
+    return _checked(PermutationGroup(n, gens), math.factorial(n))
 
 
 def alt(n: int) -> PermutationGroup:
@@ -78,18 +111,14 @@ def alt(n: int) -> PermutationGroup:
     if n >= 4:
         cycle = tuple(range(n)) if n % 2 == 1 else tuple(range(1, n))
         gens.append(Permutation.from_cycles(n, [cycle]))
-    group = PermutationGroup(n, gens)
-    assert group.order() == (1 if n <= 2 else _factorial(n) // 2)
-    return group
+    return _checked(PermutationGroup(n, gens), 1 if n <= 2 else math.factorial(n) // 2)
 
 
 def cyclic(n: int) -> PermutationGroup:
     if n < 1:
         raise ParameterError("cyclic(n) needs n >= 1")
     gens = [] if n == 1 else [Permutation.from_cycles(n, [tuple(range(n))])]
-    group = PermutationGroup(n, gens)
-    assert group.order() == n
-    return group
+    return _checked(PermutationGroup(n, gens), n)
 
 
 def dihedral(n: int) -> PermutationGroup:
@@ -98,9 +127,7 @@ def dihedral(n: int) -> PermutationGroup:
         raise ParameterError("dihedral(n) needs n >= 3")
     rotation = Permutation.from_cycles(n, [tuple(range(n))])
     reflection = Permutation(tuple((n - i) % n for i in range(n)))
-    group = PermutationGroup(n, [rotation, reflection])
-    assert group.order() == 2 * n
-    return group
+    return _checked(PermutationGroup(n, [rotation, reflection]), 2 * n)
 
 
 def agl1(p: int) -> PermutationGroup:
@@ -111,9 +138,7 @@ def agl1(p: int) -> PermutationGroup:
     g = smallest_primitive_root(p)
     shift = Permutation(tuple((x + 1) % p for x in range(p)))
     scale = Permutation(tuple(g * x % p for x in range(p)))
-    group = PermutationGroup(p, [shift, scale])
-    assert group.order() == p * (p - 1)
-    return group
+    return _checked(PermutationGroup(p, [shift, scale]), p * (p - 1))
 
 
 def two_homog_frobenius(p: int) -> PermutationGroup:
@@ -132,9 +157,7 @@ def two_homog_frobenius(p: int) -> PermutationGroup:
     square = g * g % p
     shift = Permutation(tuple((x + 1) % p for x in range(p)))
     scale = Permutation(tuple(square * x % p for x in range(p)))
-    group = PermutationGroup(p, [shift, scale])
-    assert group.order() == p * (p - 1) // 2
-    return group
+    return _checked(PermutationGroup(p, [shift, scale]), p * (p - 1) // 2)
 
 
 def psl25() -> PermutationGroup:
@@ -142,9 +165,7 @@ def psl25() -> PermutationGroup:
     x -> x+1 and x -> -1/x. 2-transitive but not 3-transitive."""
     shift = Permutation.from_cycles(6, [(0, 1, 2, 3, 4)])
     flip = Permutation.from_cycles(6, [(5, 0), (1, 4)])
-    group = PermutationGroup(6, [shift, flip])
-    assert group.order() == 60
-    return group
+    return _checked(PermutationGroup(6, [shift, flip]), 60)
 
 
 def direct_product(a: PermutationGroup, b: PermutationGroup) -> PermutationGroup:
@@ -156,18 +177,14 @@ def direct_product(a: PermutationGroup, b: PermutationGroup) -> PermutationGroup
         gens.append(Permutation(tuple(g.images[x // db] * db + x % db for x in range(n))))
     for h in b.generators:
         gens.append(Permutation(tuple((x // db) * db + h.images[x % db] for x in range(n))))
-    group = PermutationGroup(n, gens)
-    assert group.order() == a.order() * b.order()
-    return group
+    return _checked(PermutationGroup(n, gens), a.order() * b.order())
 
 
 def wreath_grid(m: int) -> PermutationGroup:
     """S2 x Sm acting on the 2 x m grid (and so on its complement)."""
     if m < 2:
         raise ParameterError("wreath_grid(m) needs m >= 2")
-    group = direct_product(sym(2), sym(m))
-    assert group.order() == 2 * _factorial(m)
-    return group
+    return direct_product(sym(2), sym(m))
 
 
 def wreath_bipartite(m: int) -> PermutationGroup:
@@ -179,9 +196,30 @@ def wreath_bipartite(m: int) -> PermutationGroup:
     if m >= 3:
         gens.append(Permutation.from_cycles(n, [tuple(range(m))]))
     gens.append(Permutation(tuple((x + m) % n for x in range(n))))
-    group = PermutationGroup(n, gens)
-    assert group.order() == 2 * _factorial(m) ** 2
-    return group
+    return _checked(PermutationGroup(n, gens), 2 * math.factorial(m) ** 2)
+
+
+def _product_action(symbols: PermutationGroup, coords: PermutationGroup) -> PermutationGroup:
+    """Sq wr H on the q-ary d-tuples, the tuple x stored as the big-endian
+    number sum x_i q^(d-1-i): the generators of ``symbols`` (Sq) act on the
+    symbol at coordinate 0, those of ``coords`` (H, transitive of degree d)
+    move the symbol at coordinate i to coordinate h(i)."""
+    q, d = symbols.degree, coords.degree
+    weights = [q ** (d - 1 - i) for i in range(d)]
+
+    def digit_map(symbol: tuple, coord: tuple) -> Permutation:
+        # symbol(x_0) lands at coord(0) and x_i at coord(i); the image of every
+        # tuple is summed one coordinate at a time, coordinate 0 outermost
+        images = [0]
+        for i in range(d):
+            w = weights[coord[i]]
+            column = [(symbol[x] if i == 0 else x) * w for x in range(q)]
+            images = [a + c for a in images for c in column]
+        return Permutation(images)
+
+    gens = [digit_map(s.images, tuple(range(d))) for s in symbols.generators]
+    gens += [digit_map(tuple(range(q)), h.images) for h in coords.generators]
+    return _checked(PermutationGroup(q ** d, gens), symbols.order() ** d * coords.order())
 
 
 def wreath_hamming(h: PermutationGroup, d: int) -> PermutationGroup:
@@ -189,21 +227,10 @@ def wreath_hamming(h: PermutationGroup, d: int) -> PermutationGroup:
     the coordinates."""
     if h.degree != d:
         raise ParameterError(f"coordinate group degree {h.degree} != d = {d}")
-    n = 1 << d
-    flip0 = Permutation(tuple(v ^ (1 << (d - 1)) for v in range(n)))
-    gens = [flip0]
-    for p in h.generators:
-        images = []
-        for v in range(n):
-            w = 0
-            for i in range(d):
-                bit = (v >> (d - 1 - i)) & 1
-                w |= bit << (d - 1 - p.images[i])
-            images.append(w)
-        gens.append(Permutation(images))
-    group = PermutationGroup(n, gens)
-    assert group.order() == (1 << d) * h.order()
-    return group
+    if not h.is_transitive():
+        raise ParameterError("wreath_hamming needs a transitive coordinate group: the flip "
+                             "of coordinate 0 and H generate S2 wr H only then")
+    return _product_action(sym(2), h)
 
 
 def hamming_full(d: int, q: int) -> PermutationGroup:
@@ -211,32 +238,7 @@ def hamming_full(d: int, q: int) -> PermutationGroup:
     by coordinate permutations."""
     if d < 2 or q < 2:
         raise ParameterError("hamming_full needs d, q >= 2")
-    n = q ** d
-    weights = [q ** (d - 1 - i) for i in range(d)]
-
-    def digits(v):
-        return [(v // weights[i]) % q for i in range(d)]
-
-    gens = []
-    for symbol_gen in sym(q).generators:
-        images = []
-        for v in range(n):
-            ds = digits(v)
-            ds[0] = symbol_gen.images[ds[0]]
-            images.append(sum(ds[i] * weights[i] for i in range(d)))
-        gens.append(Permutation(images))
-    for coord_gen in sym(d).generators:
-        images = []
-        for v in range(n):
-            ds = digits(v)
-            out = [0] * d
-            for i in range(d):
-                out[coord_gen.images[i]] = ds[i]
-            images.append(sum(out[i] * weights[i] for i in range(d)))
-        gens.append(Permutation(images))
-    group = PermutationGroup(n, gens)
-    assert group.order() == _factorial(q) ** d * _factorial(d)
-    return group
+    return _product_action(sym(q), sym(d))
 
 
 def octahedral() -> PermutationGroup:
@@ -246,9 +248,7 @@ def octahedral() -> PermutationGroup:
         Permutation.from_cycles(6, [(0, 1), (3, 4)]),
         Permutation.from_cycles(6, [(0, 1, 2), (3, 4, 5)]),
     ]
-    group = PermutationGroup(6, gens)
-    assert group.order() == 48
-    return group
+    return _checked(PermutationGroup(6, gens), 48)
 
 
 _ICOSA_RHO = [(1, 2, 3, 4, 5), (6, 7, 8, 9, 10)]
@@ -257,24 +257,20 @@ _ICOSA_TAU = [(0, 11), (1, 9), (2, 10), (3, 6), (4, 7), (5, 8)]
 
 
 def icosahedral_rotations() -> PermutationGroup:
-    group = PermutationGroup(12, [
+    return _checked(PermutationGroup(12, [
         Permutation.from_cycles(12, _ICOSA_RHO),
         Permutation.from_cycles(12, _ICOSA_SIGMA),
-    ])
-    assert group.order() == 60
-    return group
+    ]), 60)
 
 
 def icosahedral() -> PermutationGroup:
     """S2 x A5 on the twelve icosahedron vertices (rotations plus the
     antipodal map)."""
-    group = PermutationGroup(12, [
+    return _checked(PermutationGroup(12, [
         Permutation.from_cycles(12, _ICOSA_RHO),
         Permutation.from_cycles(12, _ICOSA_SIGMA),
         Permutation.from_cycles(12, _ICOSA_TAU),
-    ])
-    assert group.order() == 120
-    return group
+    ]), 120)
 
 
 def petersen_sym5() -> PermutationGroup:
@@ -285,16 +281,7 @@ def petersen_sym5() -> PermutationGroup:
     for s in sym(5).generators:
         images = [index[tuple(sorted((s.images[a], s.images[b])))] for a, b in pairs]
         gens.append(Permutation(images))
-    group = PermutationGroup(10, gens)
-    assert group.order() == 120
-    return group
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
+    return _checked(PermutationGroup(10, gens), 120)
 
 
 # -- labeled graph families --------------------------------------------------
@@ -311,30 +298,26 @@ def grid(n: int, m: int) -> LabeledFamily:
             if a // m == b // m or a % m == b % m:
                 edges.append((a, b))
     graph = Graph(n * m, edges)
-    gens = (direct_product(sym(n), sym(m)) if n != m else _square_grid_group(n)).generators
-    return LabeledFamily(f"grid({n},{m})", graph, labels, gens)
+    group = direct_product(sym(n), sym(m)) if n != m else _square_grid_group(n)
+    return LabeledFamily(f"grid({n},{m})", graph, labels, group)
 
 
 def _square_grid_group(n: int) -> PermutationGroup:
     base = direct_product(sym(n), sym(n))
     transpose = Permutation(tuple((x % n) * n + x // n for x in range(n * n)))
-    group = PermutationGroup(n * n, base.generators + (transpose,))
-    assert group.order() == 2 * _factorial(n) ** 2
-    return group
+    return _checked(PermutationGroup(n * n, base.generators + (transpose,)),
+                    2 * math.factorial(n) ** 2)
 
 
 def grid_complement(m: int) -> LabeledFamily:
-    """Complement of the 2 x m grid: K_{m,m} minus a perfect matching."""
+    """Complement of the 2 x m grid: K_{m,m} minus a perfect matching, with
+    the grid's S2 x Sm (the generators of ``wreath_grid(m)``)."""
     if m < 3:
         raise ParameterError("grid_complement needs m >= 3")
     base = grid(2, m)
-    graph = complement(base.graph)
-    fam = LabeledFamily(f"grid_complement({m})", graph, base.labels,
-                        wreath_grid(m).generators)
-    assert graph.valency() == m - 1
-    assert diameter(graph) == 3
-    assert girth(graph) == (4 if m >= 4 else 6)
-    return fam
+    fam = LabeledFamily(f"grid_complement({m})", complement(base.graph), base.labels,
+                        base.symmetry_group())
+    return _checked_shape(fam, m - 1, 4 if m >= 4 else 6, 3)
 
 
 def hamming(d: int, q: int) -> LabeledFamily:
@@ -352,21 +335,16 @@ def hamming(d: int, q: int) -> LabeledFamily:
             digit = (v // weights[i]) % q
             for other in range(digit + 1, q):
                 edges.append((v, v + (other - digit) * weights[i]))
-    graph = Graph(n, edges)
-    fam = LabeledFamily(f"hamming({d},{q})", graph, tuple(labels),
-                        hamming_full(d, q).generators)
-    assert graph.valency() == d * (q - 1)
-    assert diameter(graph) == d
-    assert girth(graph) == (4 if q == 2 else 3)
-    return fam
+    fam = LabeledFamily(f"hamming({d},{q})", Graph(n, edges), tuple(labels),
+                        hamming_full(d, q))
+    return _checked_shape(fam, d * (q - 1), 4 if q == 2 else 3, d)
 
 
 def complete(n: int) -> LabeledFamily:
     if n < 1:
         raise ParameterError("complete needs n >= 1")
     graph = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-    return LabeledFamily(f"complete({n})", graph, tuple(range(1, n + 1)),
-                         sym(n).generators)
+    return LabeledFamily(f"complete({n})", graph, tuple(range(1, n + 1)), sym(n))
 
 
 def complete_bipartite(m: int, n: int) -> LabeledFamily:
@@ -374,31 +352,27 @@ def complete_bipartite(m: int, n: int) -> LabeledFamily:
         raise ParameterError("complete_bipartite needs m, n >= 1")
     labels = tuple((1, i + 1) for i in range(m)) + tuple((2, j + 1) for j in range(n))
     graph = Graph(m + n, [(i, m + j) for i in range(m) for j in range(n)])
-    if m == n and m >= 2:
-        gens = wreath_bipartite(m).generators
-    else:
-        gens = _bipartite_product_gens(m, n)
-    return LabeledFamily(f"complete_bipartite({m},{n})", graph, labels, gens)
+    group = wreath_bipartite(m) if m == n and m >= 2 else _bipartite_product(m, n)
+    return LabeledFamily(f"complete_bipartite({m},{n})", graph, labels, group)
 
 
-def _bipartite_product_gens(m: int, n: int) -> tuple:
+def _bipartite_product(m: int, n: int) -> PermutationGroup:
+    """Sm x Sn, each factor on its own part of {0..m-1} and {m..m+n-1}."""
     gens = []
     for g in sym(m).generators:
         gens.append(Permutation(tuple(g.images[x] if x < m else x for x in range(m + n))))
     for h in sym(n).generators:
         gens.append(Permutation(
             tuple(x if x < m else m + h.images[x - m] for x in range(m + n))))
-    return tuple(gens)
+    return _checked(PermutationGroup(m + n, gens), math.factorial(m) * math.factorial(n))
 
 
 def cycle(n: int) -> LabeledFamily:
     if n < 3:
         raise ParameterError("cycle needs n >= 3")
     graph = Graph(n, [(i, (i + 1) % n) for i in range(n)])
-    fam = LabeledFamily(f"cycle({n})", graph, tuple(range(1, n + 1)),
-                        dihedral(n).generators)
-    assert girth(graph) == n
-    return fam
+    fam = LabeledFamily(f"cycle({n})", graph, tuple(range(1, n + 1)), dihedral(n))
+    return _checked_shape(fam, 2, n, n // 2)
 
 
 def octahedron() -> LabeledFamily:
@@ -406,10 +380,8 @@ def octahedron() -> LabeledFamily:
     antipode (a-a', b-b', c-c')."""
     labels = ("a", "b", "c", "a'", "b'", "c'")
     edges = [(i, j) for i in range(6) for j in range(i + 1, 6) if j - i != 3]
-    graph = Graph(6, edges)
-    fam = LabeledFamily("octahedron", graph, labels, octahedral().generators)
-    assert graph.valency() == 4 and girth(graph) == 3 and diameter(graph) == 2
-    return fam
+    return _checked_shape(LabeledFamily("octahedron", Graph(6, edges), labels, octahedral()),
+                          4, 3, 2)
 
 
 def icosahedron() -> LabeledFamily:
@@ -424,10 +396,8 @@ def icosahedron() -> LabeledFamily:
         edges.append((i, i % 5 + 6))              # v_i - w_{i+1}
         edges.append((i + 5, i % 5 + 6))          # w-cycle
         edges.append((i + 5, 11))                 # w_i - x
-    graph = Graph(12, edges)
-    fam = LabeledFamily("icosahedron", graph, labels, icosahedral().generators)
-    assert graph.valency() == 5 and girth(graph) == 3 and diameter(graph) == 3
-    return fam
+    return _checked_shape(LabeledFamily("icosahedron", Graph(12, edges), labels, icosahedral()),
+                          5, 3, 3)
 
 
 def petersen() -> LabeledFamily:
@@ -439,10 +409,8 @@ def petersen() -> LabeledFamily:
         for j in range(i + 1, len(pairs)):
             if not set(p) & set(pairs[j]):
                 edges.append((i, j))
-    graph = Graph(10, edges)
-    fam = LabeledFamily("petersen", graph, labels, petersen_sym5().generators)
-    assert graph.valency() == 3 and girth(graph) == 5 and diameter(graph) == 2
-    return fam
+    return _checked_shape(LabeledFamily("petersen", Graph(10, edges), labels, petersen_sym5()),
+                          3, 5, 2)
 
 
 _GRAPH_FAMILIES = {
@@ -491,9 +459,6 @@ _INT_PARAM_GROUPS = {
     "wreath_bipartite": (wreath_bipartite, 1),
     "hamming_full": (hamming_full, 2),
 }
-
-_SPEC_RE = re.compile(r"^([a-z_0-9]+?)(?:[:(]([a-z_0-9:,()]*)\)?)?$")
-
 
 def build_group(spec: str) -> PermutationGroup:
     """Build a named group from a compact spec string.

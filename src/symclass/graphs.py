@@ -151,12 +151,6 @@ class DistancePartition(NamedTuple):
     def layer(self, i: int) -> tuple:
         return self.layers[i] if i < len(self.layers) else ()
 
-    def distance_of(self, v: int):
-        for i, layer in enumerate(self.layers):
-            if v in layer:
-                return i
-        return None
-
 
 def distance_partition(g: Graph, u: int) -> DistancePartition:
     if not 0 <= u < g.n:
@@ -226,14 +220,6 @@ class IntersectionNumbers(NamedTuple):
     def c(self, i: int):
         t = self.triples[i]
         return None if t is None else t[0]
-
-    def a(self, i: int):
-        t = self.triples[i]
-        return None if t is None else t[1]
-
-    def b(self, i: int):
-        t = self.triples[i]
-        return None if t is None else t[2]
 
 
 def intersection_numbers(g: Graph, u: int) -> IntersectionNumbers:

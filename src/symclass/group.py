@@ -167,9 +167,6 @@ class StabilizerChain:
         residue, i = self._strip(p)
         return i == len(self.base) and residue.images == self._identity.images
 
-    def basic_orbit(self, i: int) -> tuple:
-        return tuple(sorted(self._inv[i]))
-
     def strong_generators(self, from_level: int = 0) -> list[Permutation]:
         """Strong generators fixing ``base[:from_level]`` pointwise."""
         out = []
@@ -235,9 +232,6 @@ class PermutationGroup:
 
     def __contains__(self, p: Permutation) -> bool:
         return self.chain.contains(p)
-
-    def is_trivial(self) -> bool:
-        return all(g.is_identity() for g in self.generators)
 
     def orbit(self, x: int) -> tuple:
         """The orbit of ``x``, in ascending point order, walked once per group."""

@@ -4,11 +4,16 @@ stabilizer-chain layer."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from collections import deque
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
+import symclass
 from symclass import (
     Graph,
     Permutation,
@@ -34,6 +39,15 @@ def chain_builds(monkeypatch) -> list:
     return built
 
 
+def python_stdout(*argv) -> str:
+    """Stdout of a fresh interpreter that imports this checkout's package."""
+    src = str(Path(symclass.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          env=env, check=True, timeout=120).stdout
+
+
 def brute_closure(gens):
     """Multiplicative closure by breadth-first products; no stabilizer chain."""
     gens = [g for g in gens if not g.is_identity()]
@@ -57,6 +71,40 @@ def brute_closure(gens):
 def brute_order(gens) -> int:
     closure = brute_closure(gens)
     return len(closure) if closure else 1
+
+
+def reference_product_action(symbol_gens, coord_gens, q: int, d: int) -> list:
+    """Generator image tuples of Sq wr H on the q-ary d-tuples, numbered
+    big-endian, one tuple at a time through its digit list: each symbol
+    generator acts on the digit at coordinate 0, then each coordinate
+    generator ``p`` moves the digit at coordinate i to coordinate p(i)."""
+    n = q ** d
+    weights = [q ** (d - 1 - i) for i in range(d)]
+
+    def digits(v):
+        return [(v // weights[i]) % q for i in range(d)]
+
+    def number(ds):
+        return sum(ds[i] * weights[i] for i in range(d))
+
+    out = []
+    for s in symbol_gens:
+        images = []
+        for v in range(n):
+            ds = digits(v)
+            ds[0] = s.images[ds[0]]
+            images.append(number(ds))
+        out.append(tuple(images))
+    for p in coord_gens:
+        images = []
+        for v in range(n):
+            ds = digits(v)
+            moved = [0] * d
+            for i in range(d):
+                moved[p.images[i]] = ds[i]
+            images.append(number(moved))
+        out.append(tuple(images))
+    return out
 
 
 def brute_aut_order(g: Graph) -> int:

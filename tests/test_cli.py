@@ -1,12 +1,10 @@
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-import symclass
+from conftest import python_stdout
+
 from symclass import decode_graph6, encode_graph6, format_generator_file, parse_generator_file
 from symclass.cli import main
 from symclass.families import agl1, direct_product, grid_complement, hamming, octahedron, sym
@@ -90,22 +88,13 @@ def test_classify_from_edge_file_round_trips_construct(tmp_path, capsys):
     assert json.loads(out)["matched_row"] == "octahedron"
 
 
-def _python(*argv) -> str:
-    """Stdout of a fresh interpreter that imports this checkout's package."""
-    src = str(Path(symclass.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
-                          env=env, check=True, timeout=120).stdout
-
-
 def test_classify_output_is_the_same_under_python_O(tmp_path):
     # -O strips assert statements; the checks inside classify must not depend on them
     group_file = tmp_path / "gens.txt"
     group_file.write_text(format_generator_file(direct_product(sym(2), agl1(5))))
     argv = ["-m", "symclass.cli", "classify", "--family", "grid_complement", "--m", "5",
             "--group-file", str(group_file)]
-    outputs = [_python(*flags, *argv) for flags in (["-O"], [])]
+    outputs = [python_stdout(*flags, *argv) for flags in (["-O"], [])]
     assert outputs[0] == outputs[1]
     assert json.loads(outputs[0])["matched_row"] == "grid_complement(5)"
 
@@ -116,7 +105,7 @@ def test_import_leaves_dataclasses_and_inspect_unloaded():
     # site-packages hooks from loading them on their own
     code = ("import sys, symclass, symclass.cli; "
             "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])")
-    assert _python("-S", "-c", code).strip() == "[]"
+    assert python_stdout("-S", "-c", code).strip() == "[]"
 
 
 def test_edge_file_parse_error_reports_line(tmp_path, capsys):

@@ -1,8 +1,18 @@
+import math
+
 import pytest
 
-from symclass import check_condition_3_1, girth, intersection_numbers, transitivity_degree_tests
+from conftest import python_stdout, reference_product_action
+
+from symclass import (
+    check_condition_3_1,
+    families,
+    girth,
+    intersection_numbers,
+    transitivity_degree_tests,
+)
 from symclass.classify import condition_3_1_examples
-from symclass.errors import ParameterError, UnknownFamily
+from symclass.errors import InternalCheckFailed, ParameterError, UnknownFamily
 from symclass.families import (
     agl1,
     alt,
@@ -11,6 +21,7 @@ from symclass.families import (
     complete,
     complete_bipartite,
     cycle,
+    cyclic,
     dihedral,
     grid,
     grid_complement,
@@ -194,3 +205,69 @@ def test_parameter_validation():
         cycle(2)
     with pytest.raises(ParameterError):
         complete(0)
+
+
+def test_product_actions_match_the_digit_map_reference():
+    for d in range(2, 5):
+        for q in range(2, 5):
+            assert ([g.images for g in hamming_full(d, q).generators]
+                    == reference_product_action(sym(q).generators, sym(d).generators, q, d))
+    coordinate_groups = ([sym(k) for k in range(1, 8)] + [cyclic(k) for k in range(1, 8)]
+                         + [dihedral(k) for k in range(3, 8)] + [two_homog_frobenius(7)])
+    for h in coordinate_groups:
+        assert ([g.images for g in wreath_hamming(h, h.degree).generators]
+                == reference_product_action(sym(2).generators, h.generators, 2, h.degree))
+
+
+def test_wreath_hamming_needs_a_transitive_coordinate_group():
+    with pytest.raises(ParameterError, match="transitive"):
+        wreath_hamming(alt(2), 2)
+
+
+def test_wrong_order_raises_a_coded_internal_error():
+    with pytest.raises(InternalCheckFailed, match="order 6, expected 7") as info:
+        families._checked(sym(3), 7)
+    assert info.value.code == "internal-check-failed"
+
+
+def test_wrong_shape_raises_a_coded_internal_error(monkeypatch):
+    with pytest.raises(InternalCheckFailed, match="not transitive"):
+        families._checked_shape(complete_bipartite(1, 2), 1, math.inf, 2)
+    with pytest.raises(InternalCheckFailed, match=r"\(3, 5, 2, 10\), expected \(3, 5, 3, 10\)"):
+        families._checked_shape(petersen(), 3, 5, 3)
+    monkeypatch.setattr(families, "bfs_cycle_length", lambda g, root: 99)
+    with pytest.raises(InternalCheckFailed) as info:
+        octahedron()
+    assert info.value.code == "internal-check-failed"
+
+
+def test_checks_still_run_under_python_O():
+    code = (
+        "import sys\n"
+        "from symclass import families\n"
+        "from symclass.errors import InternalCheckFailed\n"
+        "codes = [sys.flags.optimize]\n"
+        "try:\n"
+        "    families._checked(families.sym(3), 7)\n"
+        "except InternalCheckFailed as exc:\n"
+        "    codes.append(exc.code)\n"
+        "families.bfs_cycle_length = lambda g, root: 99\n"
+        "try:\n"
+        "    families.octahedron()\n"
+        "except InternalCheckFailed as exc:\n"
+        "    codes.append(exc.code)\n"
+        "print(*codes)\n"
+    )
+    assert python_stdout("-O", "-c", code).split() == ["1"] + ["internal-check-failed"] * 2
+
+
+def test_family_keeps_the_group_it_built_and_checked(chain_builds):
+    fam = grid_complement(5)
+    group = fam.symmetry_group()
+    # grid(2, 5) built and checked S2 x S5 once, and the complement keeps it
+    assert chain_builds.count(group.generators) == 1
+    built = len(chain_builds)
+    assert group is fam.symmetry_group()
+    assert group.order() == 240
+    assert len(chain_builds) == built
+    assert group.generators == wreath_grid(5).generators
