@@ -4,10 +4,11 @@ graphs (n <= 64).
 The engine is individualization-refinement: colorings are refined to
 equitable partitions, backtracking branches on the first smallest
 non-singleton cell, and orbits of already-found automorphisms prune sibling
-branches. The automorphism search refines its identity branch once and
-refines every candidate branch against the recorded rounds. Canonical form
-is the minimal graph6 string over the (pruned) search tree, so equal
-canonical forms characterize isomorphism.
+branches. The automorphism search refines its identity branch once, walks
+it from the leaf up, and refines every candidate branch against the
+recorded rounds; it returns a strong generating set on the identity
+branch's vertices. Canonical form is the minimal graph6 string over the
+(pruned) search tree, so equal canonical forms characterize isomorphism.
 """
 
 from __future__ import annotations
@@ -160,42 +161,38 @@ def _automorphisms(g: Graph, base: list) -> tuple[list[Permutation], int]:
     """Generators of Aut(g) from the equitable base coloring ``base``, and
     its order.
 
-    Walks the identity branch of the refinement tree; at each level it finds,
-    for every candidate image of the branch vertex not yet covered by known
-    automorphisms, one automorphism realizing it. The found elements are coset
-    representatives along a stabilizer chain, so they generate the group. The
-    identity branch is refined once; every candidate is refined against it.
-
-    An automorphism found at a level fixes the branch vertices above it and
-    moves that level's own, so the orbit of the branch vertex under those
-    found at its level is its basic orbit. The branch vertices form a base
-    (the leaf coloring is discrete), so the order is the product of the
-    basic orbit sizes.
+    Walks the identity branch of the refinement tree, refined once, from the
+    leaf up. At each level it finds one automorphism, refined against the
+    branch, for every candidate image of the branch vertex outside its orbit
+    under all automorphisms found so far (each fixes the branch vertices
+    above the level). By induction those found at or below a level generate
+    the pointwise stabilizer of the branch vertices above it: a strong
+    generating set on the branch vertices, which form a base (the leaf is
+    discrete), so the order is the product of the basic orbit sizes.
     """
     path = _identity_path(g, base)
     gens: list[Permutation] = []
     order = 1
-    for depth, (_, colors, branch) in enumerate(path[:-1]):
-        b, *candidates = branch[1]
-        level: list[Permutation] = []
-        covered = {b}
-        for y in candidates:
+    for depth in range(len(path) - 2, -1, -1):
+        _, colors, (_, cell) = path[depth]
+        covered = point_orbit(gens, cell[0])
+        for y in cell:
             if y in covered:
                 continue
             individualized = list(colors)
             individualized[y] = g.n + depth
             found = _search_map(g, path, depth + 1, individualized)
             if found is not None:
-                level.append(Permutation(found))
-                covered = point_orbit(level, b)
-        gens.extend(level)
+                gens.append(Permutation(found))
+                covered = point_orbit(gens, cell[0])
         order *= len(covered)
     return gens, order
 
 
 def automorphism_group(g: Graph) -> PermutationGroup:
-    """Generators of the full automorphism group (see ``_automorphisms``),
-    with the order the search found, so ``order()`` builds no chain."""
+    """A strong generating set of Aut(g) on the identity branch's vertices
+    (see ``_automorphisms``; which one depends on the search order), with
+    the order the search found, so ``order()`` builds no chain."""
     _check_cap(g)
     if g.n == 0:
         raise ParameterError("automorphism group of the empty graph is undefined")

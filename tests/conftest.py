@@ -333,8 +333,10 @@ def brute_subgroups(group):
 # The automorphism search and canonical form as first written: both sides of
 # every comparison are refined from scratch, jointly, in every call, and
 # refinement runs until a round renumbers nothing. The library walks the
-# same search tree with the identity branch refined once per search; the
-# tests require identical generators, canonical forms and labelings.
+# same search tree with the identity branch refined once per search and
+# walked from the leaf up; the tests require the same group, identical
+# canonical forms and labelings, and the same first minimal leaf as the
+# unpruned tree.
 
 
 def _reference_refine_pair(g1: Graph, g2: Graph, c1: list, c2: list):
@@ -492,12 +494,12 @@ def reference_automorphism_group(g: Graph) -> PermutationGroup:
     return PermutationGroup(g.n, gens)
 
 
-def reference_canonical_form(g: Graph):
-    """``(canonical_graph, labeling)``: the minimal graph6 leaf of the search
-    tree pruned by the orbits of the reference automorphism generators."""
+def _reference_first_minimal_leaf(g: Graph, aut_gens: list):
+    """``(canonical_graph, labeling)`` at the first leaf, in depth-first
+    order, whose graph6 string is minimal over the search tree pruned by the
+    orbits of ``aut_gens`` (none: the unpruned tree)."""
     if g.n == 0:
         return g, ()
-    aut_gens = list(reference_automorphism_group(g).generators)
     best: dict = {"code": None, "labeling": None}
 
     def descend(colors: list, individualized: list, next_color: int) -> None:
@@ -522,3 +524,19 @@ def reference_canonical_form(g: Graph):
     descend(_reference_base_colors(g, g)[0], [], g.n)
     labeling = best["labeling"]
     return g.relabel(labeling), tuple(labeling.images)
+
+
+def reference_canonical_form(g: Graph):
+    """``(canonical_graph, labeling)``: the minimal graph6 leaf of the search
+    tree pruned by the orbits of the reference automorphism generators."""
+    gens = list(reference_automorphism_group(g).generators) if g.n else []
+    return _reference_first_minimal_leaf(g, gens)
+
+
+def unpruned_canonical_form(g: Graph):
+    """``(canonical_graph, labeling)`` at the first minimal graph6 leaf of the
+    unpruned refinement tree. Pruning by automorphisms that fix the prefix
+    keeps that leaf whatever generators it uses: a pruned subtree is the
+    image of an earlier sibling's, which would hold an earlier minimal leaf.
+    Exponential in n; for small graphs only."""
+    return _reference_first_minimal_leaf(g, [])

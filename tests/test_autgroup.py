@@ -2,7 +2,12 @@ import random
 
 import pytest
 
-from conftest import brute_aut_order, reference_automorphism_group, reference_canonical_form
+from conftest import (
+    brute_aut_order,
+    reference_automorphism_group,
+    reference_canonical_form,
+    unpruned_canonical_form,
+)
 
 from symclass import (
     Graph,
@@ -194,8 +199,13 @@ def test_search_matches_the_reference_search(name):
     graph = REFERENCE_GRAPHS[name]()
     relabeled = _relabelings(graph, seed=sum(map(ord, name)))
     for g in relabeled:
-        assert ([p.images for p in automorphism_group(g).generators]
-                == [p.images for p in reference_automorphism_group(g).generators])
+        # the leaf-up search finds another generating set of the same group
+        group = automorphism_group(g)
+        reference_gens = reference_automorphism_group(g).generators
+        reference = StabilizerChain(g.n, reference_gens)
+        assert group.order() == reference.order()
+        assert all(reference.contains(p) for p in group.generators)
+        assert all(p in group for p in reference_gens)
         assert canonical_form(g) == reference_canonical_form(g)
     for g1, g2 in zip(relabeled, relabeled[1:] + [graph]):
         result = is_isomorphic(g1, g2)
@@ -221,6 +231,21 @@ def _random_graphs(seed: int, count: int) -> list:
         graphs.append(Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
                                 if rng.random() < p]))
     return graphs
+
+
+def test_canonical_form_is_the_first_minimal_leaf_of_the_unpruned_tree():
+    graphs = SMALL_GRAPHS + [g for g in _random_graphs(seed=11, count=200) if g.n <= 7]
+    assert len(graphs) > 60
+    for g in graphs:
+        assert canonical_form(g) == unpruned_canonical_form(g)
+
+
+@pytest.mark.parametrize("build,cap", [(lambda: hamming(6, 2).graph, 7),
+                                       (lambda: _disjoint_cycles(8, 3), 23)],
+                         ids=["hamming(6,2)", "8K3"])
+def test_leaf_up_search_keeps_the_generating_set_small(build, cap):
+    for g in _relabelings(build(), seed=5, count=5):
+        assert len(automorphism_group(g).generators) <= cap
 
 
 def test_order_from_the_search_matches_a_fresh_chain(chain_builds):
