@@ -161,18 +161,8 @@ class BlockSystem(NamedTuple):
     blocks: tuple
 
     @property
-    def num_blocks(self) -> int:
-        return len(self.blocks)
-
-    @property
     def block_size(self) -> int:
         return len(self.blocks[0])
-
-    def block_of(self, x: int) -> tuple:
-        for block in self.blocks:
-            if x in block:
-                return block
-        raise ParameterError(f"point {x} not covered by block system")
 
 
 def _finest_block_partition(group: PermutationGroup, a: int, b: int) -> list[tuple]:

@@ -11,7 +11,6 @@ from typing import NamedTuple
 from .actions import (
     TransitivityDegrees,
     induced_action,
-    kernel_of_action,
     transitivity_degree_tests,
 )
 from .autgroup import canonical_form, is_isomorphic_given_form
@@ -230,13 +229,19 @@ class ConditionCheck(NamedTuple):
 
 
 def check_condition_3_1(group: PermutationGroup, m: int) -> ConditionCheck:
-    """For a subgroup of the 2 x m grid symmetry group: does it project onto
-    the row swap while its column kernel is 2- but not 3-transitive?"""
+    """For a subgroup of the 2 x m grid symmetry group S2 x Sm: does it project
+    onto the row swap while its column kernel is 2- but not 3-transitive?
+
+    Each generator is read as (swaps the rows?, column permutation). The
+    column kernel, of index 1 or 2, is generated by the Schreier generators
+    over the coset representatives {1, t}, t the first swapping column
+    permutation (Seress, §4.1); one chain gives its order and 3-transitivity."""
     if m < 3:
         raise ParameterError("the grid condition needs m >= 3")
     if group.degree != 2 * m:
         raise DegreeMismatch(f"expected degree {2 * m}, got {group.degree}")
     rows = [frozenset(range(m)), frozenset(range(m, 2 * m))]
+    stays, swaps = [], []
     for gen in group.generators:
         image0 = frozenset(gen.images[p] for p in rows[0])
         if image0 == rows[0]:
@@ -250,16 +255,21 @@ def check_condition_3_1(group: PermutationGroup, m: int) -> ConditionCheck:
         if col_from_row1 != col_from_row2:
             raise InvariantCellError(
                 "generator applies different column permutations to the two rows")
-    projection, _ = induced_action(group, rows)
-    kernel = kernel_of_action(group, rows)
-    restricted, _ = induced_action(kernel, [{j} for j in range(m)])
-    flags = transitivity_degree_tests(restricted)
-    projects = projection.order() == 2
+        (stays if image0 == rows[0] else swaps).append(Permutation(col_from_row1))
+    kernel_gens = stays
+    if swaps:
+        t = swaps[0]
+        t_inv = t.inverse()
+        kernel_gens = (stays + [t * s * t_inv for s in stays]
+                       + [s * t_inv for s in swaps] + [t * s for s in swaps])
+    kernel = PermutationGroup(m, kernel_gens)
+    flags = transitivity_degree_tests(kernel)
+    projects = bool(swaps)
     satisfied = projects and flags.two_transitive and not flags.three_transitive
     return ConditionCheck(
         satisfied=satisfied,
         projects_onto_swap=projects,
-        kernel_order=kernel.order() if kernel.generators else 1,
+        kernel_order=kernel.order(),
         kernel_two_transitive=flags.two_transitive,
         kernel_three_transitive=flags.three_transitive,
     )

@@ -49,9 +49,6 @@ class LabeledFamily:
         except ValueError:
             raise ParameterError(f"{self.name}: unknown label {label!r}") from None
 
-    def label_of(self, index: int):
-        return self.labels[index]
-
     def symmetry_group(self) -> PermutationGroup:
         """The group the family was built with, its chain already built."""
         return self._group

@@ -59,9 +59,6 @@ class Graph:
             raise InvalidGraph("adjacency is not symmetric")
         return g
 
-    def neighbors(self, v: int) -> tuple:
-        return self.adjacency[v]
-
     def has_edge(self, u: int, v: int) -> bool:
         return v in self._adj_sets[u]
 

@@ -20,7 +20,11 @@ from symclass import (
     PermutationGroup,
     StabilizerChain,
     encode_graph6,
+    induced_action,
+    kernel_of_action,
+    transitivity_degree_tests,
 )
+from symclass.classify import ConditionCheck
 from symclass.errors import ParameterError
 
 
@@ -253,6 +257,26 @@ def brute_geodesic_check(g: Graph, group: PermutationGroup) -> tuple:
     ok = orbit_size == len(geodesics)
     return (ok, None if ok else "multiple orbits on 2-geodesics",
             {"geodesic_count": len(geodesics), "orbit_size": orbit_size})
+
+
+def reference_condition_3_1(group: PermutationGroup, m: int) -> ConditionCheck:
+    """The grid condition through the derived actions: the order of the
+    induced action on the two rows, the kernel of that action built in the
+    action extended to the row cells, and the kernel restricted to one row's
+    columns."""
+    rows = [set(range(m)), set(range(m, 2 * m))]
+    projection, _ = induced_action(group, rows)
+    kernel = kernel_of_action(group, rows)
+    restricted, _ = induced_action(kernel, [{j} for j in range(m)])
+    flags = transitivity_degree_tests(restricted)
+    projects = projection.order() == 2
+    return ConditionCheck(
+        satisfied=projects and flags.two_transitive and not flags.three_transitive,
+        projects_onto_swap=projects,
+        kernel_order=kernel.order() if kernel.generators else 1,
+        kernel_two_transitive=flags.two_transitive,
+        kernel_three_transitive=flags.three_transitive,
+    )
 
 
 def index2_subgroup_count(elements) -> int:

@@ -6,6 +6,7 @@ from conftest import (
     brute_arc_check,
     brute_geodesic_check,
     brute_is_2dt,
+    reference_condition_3_1,
     walk_layer_orbit_counts,
 )
 
@@ -41,6 +42,7 @@ from symclass.classify import (
     ROW_ICOSAHEDRON,
     ROW_LINE_GRAPH,
     ROW_OCTAHEDRON,
+    condition_3_1_examples,
 )
 from symclass.errors import (
     CompleteGraphError,
@@ -56,6 +58,7 @@ from symclass.families import (
     complete,
     complete_bipartite,
     cycle,
+    cyclic,
     dihedral,
     direct_product,
     grid_complement,
@@ -171,13 +174,62 @@ def test_condition_3_1_examples():
 
 
 def test_condition_3_1_rejects_non_product_groups():
-    with pytest.raises(InvariantCellError):
-        check_condition_3_1(sym(8), 4)
-    with pytest.raises(InvariantCellError):
-        # independent column actions on the two parts
-        check_condition_3_1(wreath_bipartite(4), 4)
+    not_invariant = "^the two row cells are not invariant$"
+    different = "^generator applies different column permutations to the two rows$"
+    valid = direct_product(sym(2), alt(4)).generators[-1]
+    split = Permutation.from_cycles(8, [(0, 4)])  # row 0 lands on both rows
+    mixed = Permutation.from_cycles(8, [(0, 1)])  # swaps two columns of row 0 only
+    for group, message in (
+            (sym(8), different),  # its first generator is the transposition (1 2)
+            # independent column actions on the two parts
+            (wreath_bipartite(4), different),
+            (PermutationGroup(8, [split]), not_invariant),
+            (PermutationGroup(8, [valid, split]), not_invariant),
+            (PermutationGroup(8, [valid, mixed]), different)):
+        with pytest.raises(InvariantCellError, match=message) as caught:
+            check_condition_3_1(group, 4)
+        assert caught.value.code == "not-invariant-cells"
     with pytest.raises(DegreeMismatch):
         check_condition_3_1(sym(4), 4)
+
+
+def _grid_symmetry(m: int, rng: random.Random) -> Permutation:
+    """A seeded element of S2 x Sm on the 2 x m grid: a column permutation
+    followed by the row swap."""
+    columns = list(range(m))
+    rng.shuffle(columns)
+    return Permutation([(1 - x // m) * m + columns[x % m] for x in range(2 * m)])
+
+
+def test_condition_3_1_matches_the_derived_action_reference():
+    rng = random.Random(3)
+    cases = [(PermutationGroup(8, []), 4)]
+    for m in (3, 4, 5):
+        for sub in enumerate_subgroups(wreath_grid(m)):
+            cases += [(sub, m), (sub.relabeled(_grid_symmetry(m, rng)), m)]
+    columns = [f(n) for f in (sym, alt, cyclic, dihedral) for n in range(3, 7)]
+    cases += [(direct_product(sym(2), h), h.degree)
+              for h in columns + [agl1(5), psl25()]]
+    verdicts = set()
+    for group, m in cases:
+        check = check_condition_3_1(group, m)
+        assert check == reference_condition_3_1(group, m)
+        verdicts.add((check.satisfied, check.projects_onto_swap,
+                      check.kernel_two_transitive, check.kernel_three_transitive))
+    assert len(cases) == 1 + 2 * (16 + 98 + 535) + 18
+    # every flag combination a subgroup of S2 x Sm can show occurs
+    assert len(verdicts) == 6
+
+
+@pytest.mark.parametrize("factory", [lambda: condition_3_1_examples(5)[0],
+                                     lambda: wreath_grid(5)],
+                         ids=["witness", "wreath_grid"])
+def test_condition_3_1_builds_one_chain(factory, chain_builds):
+    built = factory()
+    group = PermutationGroup(built.degree, built.generators)
+    chain_builds.clear()
+    check_condition_3_1(group, 5)
+    assert len(chain_builds) == 1
 
 
 def test_kantor_conditions():
