@@ -13,12 +13,11 @@ branch's vertices. Canonical form is the minimal graph6 string over the
 
 from __future__ import annotations
 
-from collections import deque
 from typing import NamedTuple
 
 from .errors import InternalCheckFailed, ParameterError, SizeCapExceeded
 from .graph6 import encode_graph6
-from .graphs import Graph
+from .graphs import Graph, _bfs_layers
 from .group import PermutationGroup, point_orbit
 from .perm import Permutation
 
@@ -69,21 +68,6 @@ def _refine_against(g: Graph, rounds: list, colors: list):
     return colors
 
 
-def _distances_from_set(g: Graph, sources: list) -> list:
-    dist = [g.n + 1] * g.n
-    queue = deque()
-    for v in sources:
-        dist[v] = 0
-        queue.append(v)
-    while queue:
-        u = queue.popleft()
-        for w in g.adjacency[u]:
-            if dist[w] > dist[u] + 1:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return dist
-
-
 def _base_colors(g: Graph) -> list:
     """Initial invariant: degree and neighbor-degree multiset, strengthened by
     the distance profile to the first color class, then refined to equitable."""
@@ -91,7 +75,10 @@ def _base_colors(g: Graph) -> list:
     start = [(deg[v], tuple(sorted(deg[w] for w in g.adjacency[v]))) for v in range(g.n)]
     rank = {sig: i for i, sig in enumerate(sorted(set(start)))}
     colors = _refine(g, [rank[s] for s in start])
-    dist = _distances_from_set(g, [v for v in range(g.n) if colors[v] == 0])
+    dist = [g.n + 1] * g.n
+    for d, layer in enumerate(_bfs_layers(g, *(v for v, c in enumerate(colors) if c == 0))):
+        for v in layer:
+            dist[v] = d
     profile = [(colors[v], dist[v]) for v in range(g.n)]
     rank = {sig: i for i, sig in enumerate(sorted(set(profile)))}
     return _refine(g, [rank[s] for s in profile])

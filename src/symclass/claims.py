@@ -26,6 +26,7 @@ from .classify import (
     TransitivityReport,
     _arc_transitivity,
     _distance_transitivity,
+    _match_grid_row,
     _match_reference,
     _validate_pair,
     check_condition_3_1,
@@ -262,9 +263,8 @@ def _subgroup_flags(graph: Graph, ambient: PermutationGroup, subgroups) -> list:
     """``(dt2, at2)`` for each subgroup of ``ambient``. The pair is validated
     once, through the ambient group's generators (every subgroup element is
     then an automorphism too), and the graph is layered once from vertex 0."""
-    _validate_pair(graph, ambient)
-    dp = distance_partition(graph, 0)
-    return [(bool(_distance_transitivity(graph, sub, 2, dp)),
+    dp = _validate_pair(graph, ambient)
+    return [(bool(_distance_transitivity(sub, 2, dp)),
              bool(_arc_transitivity(graph, sub, 2)[0])) for sub in subgroups]
 
 
@@ -413,12 +413,9 @@ def _claim_l42(budget: Budget) -> ClaimVerdict:
                   if p.girth == 4 and p.c2 == 2 and p.dt2 and not p.at2]
     failures = []
     for p in qualifying:
-        flags = transitivity_degree_tests(neighborhood_action(p.graph, p.group, 0))
-        pp = prime_power(p.valency)
-        if not (flags.two_homogeneous and not flags.two_transitive):
-            failures.append(f"{p.name}: neighborhood action flags")
-        if pp is None or p.valency % 4 != 3:
-            failures.append(f"{p.name}: valency {p.valency} is not a prime power = 3 mod 4")
+        kantor = check_kantor_conditions(neighborhood_action(p.graph, p.group, 0))
+        if kantor.status != "verified":
+            failures.append(f"{p.name}: neighborhood action fails the Kantor conditions")
         if not all(_psi_is_bijection(p.graph, u, p.valency) for u in range(p.graph.n)):
             failures.append(f"{p.name}: second layer does not biject onto 2-subsets")
     evidence = {"qualifying_pairs": [p.name for p in qualifying], "failures": failures}
@@ -484,21 +481,14 @@ def _claim_t11(budget: Budget) -> ClaimVerdict:
             continue
         if p.c2 == k - 1:
             boundary += 1
-            iso = _match_reference(p.graph, f"grid_complement({k + 1})")
-            if not iso:
-                failures.append(f"{p.name}: c2=k-1 but not a grid complement")
+            if not _match_grid_row(p.graph, p.group, k + 1):
+                failures.append(f"{p.name}: c2=k-1 but no grid-complement row match")
                 continue
-            transported = p.group.relabeled(Permutation(iso.mapping))
-            if not check_condition_3_1(transported, k + 1).satisfied:
-                failures.append(f"{p.name}: transported group fails the grid condition")
         if p.c2 == 2:
             interior += 1
-            flags = transitivity_degree_tests(neighborhood_action(p.graph, p.group, 0))
-            pp = prime_power(p.valency)
-            if pp is None or p.valency % 4 != 3:
-                failures.append(f"{p.name}: valency not a prime power = 3 mod 4")
-            if not (flags.two_homogeneous and not flags.two_transitive):
-                failures.append(f"{p.name}: neighborhood flags")
+            kantor = check_kantor_conditions(neighborhood_action(p.graph, p.group, 0))
+            if kantor.status != "verified":
+                failures.append(f"{p.name}: neighborhood action fails the Kantor conditions")
     evidence = {"qualifying": [p.name for p in qualifying],
                 "c2_boundary_cases": boundary, "c2_equals_2_cases": interior,
                 "failures": failures}

@@ -62,20 +62,23 @@ class TransitivityCheck(NamedTuple):
         return self.ok
 
 
-def _validate_pair(g: Graph, group: PermutationGroup, require_regular: bool = False) -> None:
+def _validate_pair(g: Graph, group: PermutationGroup) -> DistancePartition:
+    """Check that ``group`` acts on the connected graph ``g`` by automorphisms,
+    and return the distance partition from vertex 0 that the connectivity
+    check walks: every verdict reads that one layering."""
     if g.n < 1:
         raise InvalidGraph("classification needs at least one vertex")
     if group.degree != g.n:
         raise DegreeMismatch(
             f"group degree {group.degree} does not match vertex count {g.n}")
-    if not g.is_connected():
+    dp = distance_partition(g, 0)
+    if sum(map(len, dp.layers)) != g.n:
         raise DisconnectedGraph("classification is defined for connected graphs")
     for p in group.generators:
         if not preserves_graph(p, g):
             raise NotAnAutomorphismGroup(
                 f"generator {p.cycle_string()} does not preserve the graph")
-    if require_regular:
-        g.valency()
+    return dp
 
 
 def _layer_orbit_counts(group: PermutationGroup, dp: DistancePartition) -> list[int]:
@@ -94,21 +97,17 @@ def _layer_orbit_counts(group: PermutationGroup, dp: DistancePartition) -> list[
 def is_s_distance_transitive(g: Graph, group: PermutationGroup, s: int) -> TransitivityCheck:
     """Vertex transitivity plus a single stabilizer orbit on each distance
     layer up to s (checked at base vertex 0; conjugacy covers the rest)."""
-    _validate_pair(g, group)
-    return _distance_transitivity(g, group, s)
+    return _distance_transitivity(group, s, _validate_pair(g, group))
 
 
-def _distance_transitivity(g: Graph, group: PermutationGroup, s: int,
-                           dp: DistancePartition | None = None) -> TransitivityCheck:
-    """The s-distance verdict; ``dp`` is the distance partition from vertex
-    0 when the caller has it (an intransitive group never needs it)."""
+def _distance_transitivity(group: PermutationGroup, s: int,
+                           dp: DistancePartition) -> TransitivityCheck:
+    """The s-distance verdict; ``dp`` is the distance partition from vertex 0."""
     if s < 1:
         raise ParameterError("s must be at least 1")
     if not group.is_transitive():
         return TransitivityCheck(False, "not vertex-transitive",
                                  {"vertex_orbit_size": len(group.orbit(0))})
-    if dp is None:
-        dp = distance_partition(g, 0)
     if s > dp.eccentricity:
         return TransitivityCheck(
             False, f"s={s} exceeds the diameter {dp.eccentricity}",
@@ -442,17 +441,16 @@ def classify_pair(g: Graph, group: PermutationGroup) -> TransitivityReport:
     """Fill the whole report: transitivity flags, intersection numbers,
     neighborhood orbit counts, girth shortcuts, and the catalog row (with
     "VIOLATION" when a qualifying pair matches no row)."""
-    _validate_pair(g, group, require_regular=True)
+    # every vertex-local fact is read off the validation's layering from
+    # vertex 0; a vertex-transitive group puts vertex 0 on a shortest cycle,
+    # so one BFS closes one, and an intransitive group needs the girth and
+    # diameter over all vertices
+    dp = _validate_pair(g, group)
     valency = g.valency()
     transitive = group.is_transitive()
-    # every vertex-local fact is read off the one layering from vertex 0; a
-    # vertex-transitive group puts vertex 0 on a shortest cycle, so one BFS
-    # closes one, and an intransitive group needs the girth and diameter over
-    # all vertices
-    dp = distance_partition(g, 0)
     girth_value = bfs_cycle_length(g, 0) if transitive else girth(g)
     complete_graph = is_complete(g)
-    dt = {s: _distance_transitivity(g, group, s, dp) for s in (1, 2)}
+    dt = {s: _distance_transitivity(group, s, dp) for s in (1, 2)}
     at1, _ = _arc_transitivity(g, group, 1)
     at2, neighbor_flags = _arc_transitivity(g, group, 2)
     at = {1: at1, 2: at2}

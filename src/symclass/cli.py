@@ -55,17 +55,6 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True, indent=2))
 
 
-# flag order matches each family's constructor signature
-_FAMILY_FLAGS = {
-    "grid": ("n", "m"),
-    "grid_complement": ("m",),
-    "hamming": ("d", "q"),
-    "complete": ("n",),
-    "complete_bipartite": ("m", "n"),
-    "cycle": ("n",),
-}
-
-
 def parse_edge_list(text: str) -> Graph:
     """Edge-list format: an optional ``vertices N`` header, then one
     ``u v`` pair per 0-indexed line; blank lines and ``#`` comments ignored."""
@@ -94,8 +83,9 @@ def _load_graph(args) -> tuple[Graph, str, object]:
     """Resolve the graph source; returns (graph, description, family_or_None)."""
     if getattr(args, "family", None):
         key = args.family.strip().lower()
+        _, names = families.GRAPH_FAMILIES.get(key, (None, ()))
         params = []
-        for flag in _FAMILY_FLAGS.get(key, ()):
+        for flag in names:
             value = getattr(args, flag, None)
             if value is None:
                 raise ParameterError(f"family {key!r} needs --{flag}")

@@ -85,9 +85,7 @@ class Graph:
         return sum(len(nbrs) for nbrs in self.adjacency) // 2
 
     def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        return len(_component(self, 0)) == self.n
+        return self.n == 0 or sum(map(len, _bfs_layers(self, 0))) == self.n
 
     def relabel(self, phi: Permutation) -> "Graph":
         """The graph with vertex ``v`` renamed to ``phi(v)``."""
@@ -106,32 +104,22 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.edge_count()})"
 
 
-def _component(g: Graph, start: int) -> set:
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for v in g.adjacency[u]:
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return seen
-
-
-def _bfs_layers(g: Graph, start: int) -> list[list[int]]:
-    dist = {start: 0}
-    layers = [[start]]
-    frontier = [start]
-    while frontier:
+def _bfs_layers(g: Graph, *sources: int) -> list[list[int]]:
+    """The vertices at distance 0, 1, 2, ... from ``sources``, one ascending
+    list per distance; vertices no source reaches are in no layer."""
+    seen = set(sources)
+    layer = sorted(seen)
+    layers = []
+    while layer:
+        layers.append(layer)
         nxt = []
-        for u in frontier:
+        for u in layer:
             for v in g.adjacency[u]:
-                if v not in dist:
-                    dist[v] = dist[u] + 1
+                if v not in seen:
+                    seen.add(v)
                     nxt.append(v)
-        if nxt:
-            layers.append(sorted(nxt))
-        frontier = nxt
+        nxt.sort()
+        layer = nxt
     return layers
 
 

@@ -33,7 +33,7 @@ from symclass import (
     line_graph,
 )
 from symclass.autgroup import is_isomorphic_given_form
-from symclass.claims import standard_corpus
+from symclass.claims import _subgroup_flags, standard_corpus
 from symclass.classify import (
     ROW_GRID_COMPLEMENT_4,
     ROW_GRID_COMPLEMENT_5,
@@ -452,6 +452,29 @@ def test_vertex_transitive_pair_is_layered_once_from_0(monkeypatch):
     report = classify_pair(graph, group)
     assert (report.girth, report.diameter) == (4, 3)
     assert layered == [0]
+
+
+def test_validation_layering_is_the_one_every_verdict_reads(monkeypatch):
+    # the connectivity check is the layering from 0, not a separate walk
+    graph, group = hamming(3, 2).graph, wreath_hamming(sym(3), 3)
+    layered = []
+    real = graphs_module._bfs_layers
+
+    def recording(g, *sources):
+        layered.append(sources)
+        return real(g, *sources)
+
+    def no_second_walk(self):
+        raise AssertionError("is_connected walked the graph again")
+
+    monkeypatch.setattr(graphs_module, "_bfs_layers", recording)
+    monkeypatch.setattr(Graph, "is_connected", no_second_walk)
+    for decide in (lambda: classify_pair(graph, group),
+                   lambda: is_s_distance_transitive(graph, group, 2),
+                   lambda: _subgroup_flags(graph, group, [group])):
+        layered.clear()
+        decide()
+        assert layered == [(0,)]
 
 
 def test_intransitive_pair_keeps_the_girth_and_diameter_of_the_whole_graph():

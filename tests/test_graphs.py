@@ -3,7 +3,12 @@ import random
 
 import pytest
 
-from conftest import brute_girth, enumerate_s_arcs, reference_bfs_cycle_length
+from conftest import (
+    _reference_distances_from_set,
+    brute_girth,
+    enumerate_s_arcs,
+    reference_bfs_cycle_length,
+)
 
 from symclass import (
     Graph,
@@ -35,7 +40,7 @@ from symclass.families import (
     petersen,
     sym,
 )
-from symclass.graphs import bfs_cycle_length
+from symclass.graphs import _bfs_layers, bfs_cycle_length
 
 
 def test_graph_validation():
@@ -69,6 +74,33 @@ def test_layer_edge_law():
                     level[v] = i
             for a, b in g.edges():
                 assert abs(level[a] - level[b]) <= 1
+
+
+def test_layers_from_a_set_match_the_reference_distances():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(13)
+    disconnected = 0
+    for _ in range(80):
+        n = rng.randrange(1, 31)
+        p = rng.choice((0.05, 0.1, 0.2, 0.4))
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        lowest = min(g.degrees())
+        # one vertex, two vertices, and the lowest-degree color class
+        for sources in ([rng.randrange(n)], rng.sample(range(n), min(2, n)),
+                        [v for v in range(n) if g.degree(v) == lowest]):
+            layers = _bfs_layers(g, *sources)
+            assert all(layers) and all(layer == sorted(layer) for layer in layers)
+            distance = {v: d for d, layer in enumerate(layers) for v in layer}
+            assert len(distance) == sum(map(len, layers))
+            # the reference leaves unreached vertices at n + 1
+            reference = _reference_distances_from_set(g, sources)
+            assert distance == {v: d for v, d in enumerate(reference) if d <= n}
+        oracle = nx.Graph()
+        oracle.add_nodes_from(range(n))
+        oracle.add_edges_from(g.edges())
+        assert g.is_connected() == nx.is_connected(oracle)
+        disconnected += not g.is_connected()
+    assert 0 < disconnected < 80
 
 
 def test_girth_values():
