@@ -14,7 +14,7 @@ from .errors import (
     InvariantCellError,
     ParameterError,
 )
-from .group import PermutationGroup, StabilizerChain, point_orbit
+from .group import PermutationGroup, StabilizerChain
 from .perm import Permutation
 
 
@@ -118,14 +118,19 @@ def _count_orbits(gens, items, act) -> int:
     return count
 
 
-def _two_point_stabilizer_transitive_on_rest(group: PermutationGroup) -> bool:
-    """For a 2-transitive group of degree at least 3: is ``G_{0,b}``
-    transitive on the other n - 2 points? ``b`` is the chain's second base
-    point; all two-point stabilizers are conjugate, so it stands for any."""
-    chain = group.chain
-    b = chain.base[1]
-    c = min(x for x in range(group.degree) if x not in (0, b))
-    return len(point_orbit(chain.strong_generators(2), c)) == group.degree - 2
+def chain_transitivity(chain: StabilizerChain) -> tuple[bool, bool]:
+    """2- and 3-transitivity on the chain's n points, read off the chain.
+
+    With base points a, b, c, the basic orbits are a^G, b^(G_a) and
+    c^(G_a,b), so the group is 2-transitive exactly when the first two have
+    sizes n and n - 1, and 3-transitive when the third has size n - 2 as
+    well (all point and two-point stabilizers are conjugate). A missing
+    level has size 1.
+    """
+    n = chain.degree
+    sizes = chain.orbit_sizes() + [1, 1, 1]
+    two = sizes[0] == n and sizes[1] == n - 1
+    return two, two and sizes[2] == n - 2
 
 
 def transitivity_degree_tests(group: PermutationGroup) -> TransitivityDegrees:
@@ -151,7 +156,7 @@ def transitivity_degree_tests(group: PermutationGroup) -> TransitivityDegrees:
         two_homogeneous=unordered == 1,
         two_transitive=two_transitive,
         three_transitive=(two_transitive and n >= 3
-                          and _two_point_stabilizer_transitive_on_rest(group)),
+                          and chain_transitivity(group.chain)[1]),
     )
 
 

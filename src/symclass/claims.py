@@ -37,8 +37,8 @@ from .classify import (
 from .errors import UnknownClaim
 from .graphs import (
     Graph,
-    _connected_valency,
     _intersection_numbers,
+    _regular_partition,
     distance_partition,
     edge_action,
     line_graph,
@@ -382,9 +382,9 @@ def _claim_l41(budget: Budget) -> ClaimVerdict:
     checked = 0
     failures = []
     for name, graph in girth4_graph_corpus():
-        k = _connected_valency(graph)
         for u in range(graph.n):
-            dp = distance_partition(graph, u)
+            dp = _regular_partition(graph, u)
+            k = graph.degree(u)
             c2 = _intersection_numbers(graph, dp).c(2)
             checked += 1
             if c2 is None or k * (k - 1) != c2 * len(dp.layer(2)):

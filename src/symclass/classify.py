@@ -10,6 +10,7 @@ from typing import NamedTuple
 
 from .actions import (
     TransitivityDegrees,
+    chain_transitivity,
     induced_action,
     transitivity_degree_tests,
 )
@@ -17,7 +18,6 @@ from .autgroup import canonical_form, is_isomorphic_given_form
 from .errors import (
     CompleteGraphError,
     DegreeMismatch,
-    DisconnectedGraph,
     InternalCheckFailed,
     InvalidGraph,
     InvariantCellError,
@@ -40,10 +40,10 @@ from .families import (
 from .graphs import (
     DistancePartition,
     Graph,
+    _diameter,
     _intersection_numbers,
+    _spanning_partition,
     bfs_cycle_length,
-    diameter,
-    distance_partition,
     girth,
     is_complete,
 )
@@ -71,9 +71,7 @@ def _validate_pair(g: Graph, group: PermutationGroup) -> DistancePartition:
     if group.degree != g.n:
         raise DegreeMismatch(
             f"group degree {group.degree} does not match vertex count {g.n}")
-    dp = distance_partition(g, 0)
-    if sum(map(len, dp.layers)) != g.n:
-        raise DisconnectedGraph("classification is defined for connected graphs")
+    dp = _spanning_partition(g, 0, "classification is defined for connected graphs")
     for p in group.generators:
         if not preserves_graph(p, g):
             raise NotAnAutomorphismGroup(
@@ -234,7 +232,8 @@ def check_condition_3_1(group: PermutationGroup, m: int) -> ConditionCheck:
     Each generator is read as (swaps the rows?, column permutation). The
     column kernel, of index 1 or 2, is generated by the Schreier generators
     over the coset representatives {1, t}, t the first swapping column
-    permutation (Seress, §4.1); one chain gives its order and 3-transitivity."""
+    permutation (Seress, §4.1); its one chain gives the order, and the basic
+    orbits give 2- and 3-transitivity."""
     if m < 3:
         raise ParameterError("the grid condition needs m >= 3")
     if group.degree != 2 * m:
@@ -261,16 +260,15 @@ def check_condition_3_1(group: PermutationGroup, m: int) -> ConditionCheck:
         t_inv = t.inverse()
         kernel_gens = (stays + [t * s * t_inv for s in stays]
                        + [s * t_inv for s in swaps] + [t * s for s in swaps])
-    kernel = PermutationGroup(m, kernel_gens)
-    flags = transitivity_degree_tests(kernel)
+    chain = PermutationGroup(m, kernel_gens).chain
+    two, three = chain_transitivity(chain)
     projects = bool(swaps)
-    satisfied = projects and flags.two_transitive and not flags.three_transitive
     return ConditionCheck(
-        satisfied=satisfied,
+        satisfied=projects and two and not three,
         projects_onto_swap=projects,
-        kernel_order=kernel.order(),
-        kernel_two_transitive=flags.two_transitive,
-        kernel_three_transitive=flags.three_transitive,
+        kernel_order=chain.order(),
+        kernel_two_transitive=two,
+        kernel_three_transitive=three,
     )
 
 
@@ -491,7 +489,7 @@ def classify_pair(g: Graph, group: PermutationGroup) -> TransitivityReport:
         vertex_count=g.n,
         valency=valency,
         girth=girth_value,
-        diameter=dp.eccentricity if transitive else diameter(g),
+        diameter=dp.eccentricity if transitive else _diameter(g, dp),
         group_order=group.order(),
         vertex_transitive=transitive,
         distance_transitive={s: bool(v) for s, v in dt.items()},

@@ -479,11 +479,15 @@ def build_group(spec: str) -> PermutationGroup:
     for name in sorted(_INT_PARAM_GROUPS, key=len, reverse=True):
         if not s.startswith(name):
             continue
-        rest = s[len(name):].lstrip(":(").rstrip(")")
-        parts = [p for p in re.split(r"[:,]", rest) if p]
-        if not all(p.isdigit() for p in parts):
-            continue
+        rest = s[len(name):]
+        parts = [p for p in re.split(r"[:,]", rest.lstrip(":(").rstrip(")")) if p]
         ctor, arity = _INT_PARAM_GROUPS[name]
+        if not all(p.isdigit() for p in parts):
+            if rest[0] not in ":(+-0123456789":
+                continue  # a longer unknown name, such as ``symfoo``
+            raise ParameterError(
+                f"group {name!r} takes {arity} non-negative integer parameter(s), "
+                f"got {rest!r}")
         if len(parts) != arity:
             raise ParameterError(f"group {name!r} takes {arity} parameter(s)")
         return ctor(*(int(p) for p in parts))

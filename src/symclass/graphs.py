@@ -143,12 +143,26 @@ def distance_partition(g: Graph, u: int) -> DistancePartition:
     return DistancePartition(u, tuple(tuple(layer) for layer in _bfs_layers(g, u)))
 
 
+def _spanning_partition(g: Graph, u: int, message: str) -> DistancePartition:
+    """The distance partition from ``u``; its covering every vertex is the
+    connectivity check, so no second walk is needed."""
+    dp = distance_partition(g, u)
+    if sum(map(len, dp.layers)) != g.n:
+        raise DisconnectedGraph(message)
+    return dp
+
+
 def diameter(g: Graph) -> int:
     if g.n == 0:
         raise InvalidGraph("empty graph has no diameter")
-    if not g.is_connected():
-        raise DisconnectedGraph("diameter of a disconnected graph is undefined")
-    return max(distance_partition(g, u).eccentricity for u in range(g.n))
+    return _diameter(g, _spanning_partition(
+        g, 0, "diameter of a disconnected graph is undefined"))
+
+
+def _diameter(g: Graph, dp: DistancePartition) -> int:
+    """The diameter of the connected ``g``, given its partition from 0."""
+    return max([dp.eccentricity, *(distance_partition(g, u).eccentricity
+                                   for u in range(1, g.n))])
 
 
 def girth(g: Graph):
@@ -209,18 +223,18 @@ class IntersectionNumbers(NamedTuple):
 
 def intersection_numbers(g: Graph, u: int) -> IntersectionNumbers:
     """Edge counts from each vertex of layer i into layers i-1, i, i+1."""
-    _connected_valency(g)
-    return _intersection_numbers(g, distance_partition(g, u))
+    return _intersection_numbers(g, _regular_partition(g, u))
 
 
-def _connected_valency(g: Graph) -> int:
-    """The valency of ``g``, once it is known to be non-empty, connected and
-    regular: the precondition of ``_intersection_numbers``."""
+def _regular_partition(g: Graph, u: int) -> DistancePartition:
+    """The distance partition from ``u``, once ``g`` is known to be
+    non-empty, connected and regular: the precondition of
+    ``_intersection_numbers``."""
     if g.n == 0:
         raise InvalidGraph("empty graph")
-    if not g.is_connected():
-        raise DisconnectedGraph("intersection numbers need a connected graph")
-    return g.valency()  # raises IrregularGraph when degrees differ
+    dp = _spanning_partition(g, u, "intersection numbers need a connected graph")
+    g.valency()  # raises IrregularGraph when degrees differ
+    return dp
 
 
 def _intersection_numbers(g: Graph, dp: DistancePartition) -> IntersectionNumbers:

@@ -7,6 +7,7 @@ enumerations and stabilizer generators are byte-for-byte stable across runs.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict, deque
 
 from .errors import DegreeMismatch, ParameterError, ParseError, SizeCapExceeded
@@ -155,11 +156,12 @@ class StabilizerChain:
             i += 1
         return Permutation._raw(images), i
 
+    def orbit_sizes(self) -> list[int]:
+        """The size of the basic orbit at each level, in base order."""
+        return [len(inv) for inv in self._inv]
+
     def order(self) -> int:
-        result = 1
-        for inv in self._inv:
-            result *= len(inv)
-        return result
+        return math.prod(self.orbit_sizes())
 
     def contains(self, p: Permutation) -> bool:
         if p.degree != self.degree:
@@ -213,7 +215,8 @@ class PermutationGroup:
         self.generators = generators
         self._chain = None
         # set by a caller that already knows the order (the automorphism
-        # search), so that order() needs no chain
+        # search, and the subgroup enumeration from the element set it
+        # closed), so that order() needs no chain
         self._order = None
         self._stabilizers = {}
         # point -> its orbit, filled one orbit at a time: deciding transitivity

@@ -48,7 +48,9 @@ def enumerate_subgroups(group: PermutationGroup,
     if order == 1:
         # (also keeps degree 1 away from itemgetter below, which would return
         # a bare point instead of a tuple)
-        return [PermutationGroup(group.degree, ())]
+        trivial = PermutationGroup(group.degree, ())
+        trivial._order = 1
+        return [trivial]
 
     # elements() is sorted by image tuple, so element indices order the same
     # way as images and sorted index lists stand in for sorted element lists
@@ -130,7 +132,11 @@ def enumerate_subgroups(group: PermutationGroup,
                 queue.append(bigger)
 
     ordered = sorted(found.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
-    return [
-        PermutationGroup(group.degree, tuple(elements[i] for i in gens))
-        for _, gens in ordered
-    ]
+    subgroups = []
+    for members, gens in ordered:
+        sub = PermutationGroup(group.degree, tuple(elements[i] for i in gens))
+        # the walk closed the element set, so order() needs no chain, and a
+        # verdict that stops at "not vertex-transitive" builds none at all
+        sub._order = len(members)
+        subgroups.append(sub)
+    return subgroups

@@ -4,6 +4,7 @@ from conftest import brute_tuple_orbits
 
 from symclass import (
     PermutationGroup,
+    StabilizerChain,
     edge_action,
     enumerate_subgroups,
     find_block_systems,
@@ -12,6 +13,7 @@ from symclass import (
     kernel_of_action,
     transitivity_degree_tests,
 )
+from symclass.actions import chain_transitivity
 from symclass.errors import IntransitiveGroup, InvariantCellError
 from symclass.families import (
     agl1,
@@ -198,3 +200,19 @@ def test_induced_times_kernel_equals_order():
         image, _ = induced_action(group, cells)
         kernel = kernel_of_action(group, cells)
         assert image.order() * kernel.order() == group.order()
+
+
+def test_chain_transitivity_matches_brute_tuple_orbits_on_any_base():
+    # the basic orbit sizes decide 2- and 3-transitivity whatever the base:
+    # the group's own chain (based at 0), one based at the last point, and
+    # one with no prefix (the trivial group then has no level at all)
+    checked = set()
+    for group in _flag_battery():
+        n = group.degree
+        expected = (brute_tuple_orbits(group, 2) == 1, brute_tuple_orbits(group, 3) == 1)
+        for chain in (group.chain,
+                      StabilizerChain(n, group.generators, base_prefix=(n - 1,)),
+                      StabilizerChain(n, group.generators)):
+            assert chain_transitivity(chain) == expected
+        checked.add(expected)
+    assert checked == {(False, False), (True, False), (True, True)}

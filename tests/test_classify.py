@@ -6,6 +6,7 @@ from conftest import (
     brute_arc_check,
     brute_geodesic_check,
     brute_is_2dt,
+    brute_order,
     reference_condition_3_1,
     walk_layer_orbit_counts,
 )
@@ -230,6 +231,44 @@ def test_condition_3_1_builds_one_chain(factory, chain_builds):
     chain_builds.clear()
     check_condition_3_1(group, 5)
     assert len(chain_builds) == 1
+
+
+def test_grid_lattice_decisions_build_no_chain_on_intransitive_subgroups(chain_builds):
+    # L3.2's sweep, one subgroup at a time: the order is the enumerated
+    # element count, both deciders stop at "not vertex-transitive" on an
+    # intransitive subgroup, and the grid condition builds its kernel's chain
+    graph = grid_complement(4).graph
+    subgroups = enumerate_subgroups(wreath_grid(4))
+    intransitive = qualifying = 0
+    for sub in subgroups:
+        chain_builds.clear()
+        order = sub.order()
+        dt2 = bool(is_s_distance_transitive(graph, sub, 2))
+        at2 = bool(is_s_arc_transitive(graph, sub, 2))
+        if not sub.is_transitive():
+            assert chain_builds == []
+            intransitive += 1
+        built = len(chain_builds)
+        condition = check_condition_3_1(sub, 4)
+        assert len(chain_builds) == built + 1
+        elements = sub.elements()
+        assert order == brute_order(sub.generators)
+        assert dt2 == brute_is_2dt(graph, elements)
+        assert at2 == brute_arc_check(graph, sub, 2)[0]
+        assert condition == reference_condition_3_1(sub, 4)
+        assert condition.satisfied == (dt2 and not at2)
+        qualifying += condition.satisfied
+    assert (len(subgroups), intransitive, qualifying) == (98, 82, 2)
+
+
+def test_condition_3_1_reads_the_kernel_flags_off_its_chain(monkeypatch):
+    def no_pair_walk(group):
+        raise AssertionError("the grid condition walked the column pairs")
+
+    monkeypatch.setattr(classify_module, "transitivity_degree_tests", no_pair_walk)
+    for m in (4, 5):
+        for sub in enumerate_subgroups(wreath_grid(m)):
+            assert check_condition_3_1(sub, m) == reference_condition_3_1(sub, m)
 
 
 def test_kantor_conditions():

@@ -194,6 +194,22 @@ def test_build_group_dispatch():
         build_group("monster")
 
 
+def test_a_known_group_name_with_a_bad_parameter_is_a_bad_parameter():
+    for spec, name, arity in (("sym:-1", "sym", 1), ("sym-1", "sym", 1),
+                              ("sym+2", "sym", 1), ("wreath_grid(x)", "wreath_grid", 1),
+                              ("agl1:5x", "agl1", 1), ("hamming_full(2,x)", "hamming_full", 2)):
+        with pytest.raises(ParameterError,
+                           match=f"^group '{name}' takes {arity} non-negative integer") as caught:
+            build_group(spec)
+        assert caught.value.code == "bad-parameter"
+    for spec in ("nosuch:4", "symfoo", "wreath_gridx"):
+        with pytest.raises(UnknownFamily) as caught:
+            build_group(spec)
+        assert caught.value.code == "unknown-family"
+    assert [build_group(spec).order() for spec in ("sym5", "agl1:5", "frobenius(7)")] \
+        == [120, 20, 21]
+
+
 def test_parameter_validation():
     with pytest.raises(ParameterError):
         grid(1, 4)

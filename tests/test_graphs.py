@@ -10,8 +10,12 @@ from conftest import (
     reference_bfs_cycle_length,
 )
 
+import symclass.graphs as graphs_module
 from symclass import (
     Graph,
+    Permutation,
+    PermutationGroup,
+    classify_pair,
     complement,
     diameter,
     distance_partition,
@@ -185,6 +189,28 @@ def test_intersection_numbers_errors():
     two_parts = Graph(4, [(0, 1), (2, 3)])
     with pytest.raises(DisconnectedGraph):
         intersection_numbers(two_parts, 0)
+
+
+def test_graph_queries_layer_each_vertex_once(monkeypatch):
+    # connectivity is read off a layering the query needs anyway
+    layered = []
+    real = graphs_module._bfs_layers
+
+    def recording(g, *sources):
+        layered.append(sources)
+        return real(g, *sources)
+
+    monkeypatch.setattr(graphs_module, "_bfs_layers", recording)
+    cube = hamming(3, 2).graph
+    hexagon = cycle(6).graph
+    reflection = PermutationGroup(6, [Permutation([0, 5, 4, 3, 2, 1])])
+    for query, vertices in ((lambda: intersection_numbers(cube, 0), [0]),
+                            (lambda: diameter(cube), range(8)),
+                            (lambda: classify_pair(hexagon, reflection), range(6))):
+        layered.clear()
+        query()
+        assert layered == [(u,) for u in vertices]
+    assert classify_pair(hexagon, reflection).diameter == diameter(hexagon) == 3
 
 
 def test_s_arc_counts():

@@ -112,3 +112,21 @@ def test_known_subgroup_counts(group, count):
 def test_dihedral_count_is_tau_plus_sigma(n):
     divisors = [d for d in range(1, n + 1) if n % d == 0]
     assert len(enumerate_subgroups(dihedral(n))) == len(divisors) + sum(divisors)
+
+
+@pytest.mark.parametrize("name", list(ORACLE_GROUPS))
+def test_enumerated_subgroups_carry_their_order(name, chain_builds):
+    # the walk closed each element set, so order() reads its size and
+    # builds no chain
+    subs = enumerate_subgroups(ORACLE_GROUPS[name]())
+    chain_builds.clear()
+    orders = [sub.order() for sub in subs]
+    assert chain_builds == []
+    assert orders == [PermutationGroup(sub.degree, sub.generators).order() for sub in subs]
+
+
+def test_the_trivial_lattice_carries_its_order(chain_builds):
+    [only] = enumerate_subgroups(PermutationGroup(3, []))
+    chain_builds.clear()
+    assert only.order() == 1
+    assert chain_builds == []
