@@ -37,10 +37,9 @@ from .classify import (
 from .errors import UnknownClaim
 from .graphs import (
     Graph,
-    _intersection_numbers,
-    _regular_partition,
     distance_partition,
     edge_action,
+    intersection_numbers,
     line_graph,
 )
 from .group import PermutationGroup
@@ -262,9 +261,10 @@ def _claim_l22(budget: Budget) -> ClaimVerdict:
 def _subgroup_flags(graph: Graph, ambient: PermutationGroup, subgroups) -> list:
     """``(dt2, at2)`` for each subgroup of ``ambient``. The pair is validated
     once, through the ambient group's generators (every subgroup element is
-    then an automorphism too), and the graph is layered once from vertex 0."""
-    dp = _validate_pair(graph, ambient)
-    return [(bool(_distance_transitivity(sub, 2, dp)),
+    then an automorphism too), and every subgroup reads the partition from
+    vertex 0 that the validation stores on the graph."""
+    _validate_pair(graph, ambient)
+    return [(bool(_distance_transitivity(graph, sub, 2)),
              bool(_arc_transitivity(graph, sub, 2)[0])) for sub in subgroups]
 
 
@@ -383,11 +383,10 @@ def _claim_l41(budget: Budget) -> ClaimVerdict:
     failures = []
     for name, graph in girth4_graph_corpus():
         for u in range(graph.n):
-            dp = _regular_partition(graph, u)
             k = graph.degree(u)
-            c2 = _intersection_numbers(graph, dp).c(2)
+            c2 = intersection_numbers(graph, u).c(2)
             checked += 1
-            if c2 is None or k * (k - 1) != c2 * len(dp.layer(2)):
+            if c2 is None or k * (k - 1) != c2 * len(distance_partition(graph, u).layer(2)):
                 failures.append(f"{name} at vertex {u}")
     evidence = {"graphs": len(girth4_graph_corpus()),
                 "vertices_checked": checked, "failures": failures}

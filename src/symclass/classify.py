@@ -18,6 +18,7 @@ from .autgroup import canonical_form, is_isomorphic_given_form
 from .errors import (
     CompleteGraphError,
     DegreeMismatch,
+    DisconnectedGraph,
     InternalCheckFailed,
     InvalidGraph,
     InvariantCellError,
@@ -38,13 +39,12 @@ from .families import (
     sym,
 )
 from .graphs import (
-    DistancePartition,
     Graph,
-    _diameter,
-    _intersection_numbers,
-    _spanning_partition,
     bfs_cycle_length,
+    diameter,
+    distance_partition,
     girth,
+    intersection_numbers,
     is_complete,
 )
 from .group import PermutationGroup
@@ -62,26 +62,27 @@ class TransitivityCheck(NamedTuple):
         return self.ok
 
 
-def _validate_pair(g: Graph, group: PermutationGroup) -> DistancePartition:
-    """Check that ``group`` acts on the connected graph ``g`` by automorphisms,
-    and return the distance partition from vertex 0 that the connectivity
-    check walks: every verdict reads that one layering."""
+def _validate_pair(g: Graph, group: PermutationGroup) -> None:
+    """Check that ``group`` acts on the connected graph ``g`` by automorphisms.
+    The connectivity check layers ``g`` from vertex 0, and every verdict
+    reads the partition ``g`` keeps."""
     if g.n < 1:
         raise InvalidGraph("classification needs at least one vertex")
     if group.degree != g.n:
         raise DegreeMismatch(
             f"group degree {group.degree} does not match vertex count {g.n}")
-    dp = _spanning_partition(g, 0, "classification is defined for connected graphs")
+    if not g.is_connected():
+        raise DisconnectedGraph("classification is defined for connected graphs")
     for p in group.generators:
         if not preserves_graph(p, g):
             raise NotAnAutomorphismGroup(
                 f"generator {p.cycle_string()} does not preserve the graph")
-    return dp
 
 
-def _layer_orbit_counts(group: PermutationGroup, dp: DistancePartition) -> list[int]:
+def _layer_orbit_counts(g: Graph, group: PermutationGroup) -> list[int]:
     """The number of ``G_0`` orbits in each distance layer from vertex 0, read
     off the stabilizer's kept orbit partition."""
+    dp = distance_partition(g, 0)
     distance = {v: i for i, layer in enumerate(dp.layers) for v in layer}
     counts = [0] * len(dp.layers)
     for orbit in group.point_stabilizer(0).orbits():
@@ -95,22 +96,23 @@ def _layer_orbit_counts(group: PermutationGroup, dp: DistancePartition) -> list[
 def is_s_distance_transitive(g: Graph, group: PermutationGroup, s: int) -> TransitivityCheck:
     """Vertex transitivity plus a single stabilizer orbit on each distance
     layer up to s (checked at base vertex 0; conjugacy covers the rest)."""
-    return _distance_transitivity(group, s, _validate_pair(g, group))
+    _validate_pair(g, group)
+    return _distance_transitivity(g, group, s)
 
 
-def _distance_transitivity(group: PermutationGroup, s: int,
-                           dp: DistancePartition) -> TransitivityCheck:
-    """The s-distance verdict; ``dp`` is the distance partition from vertex 0."""
+def _distance_transitivity(g: Graph, group: PermutationGroup, s: int) -> TransitivityCheck:
+    """The s-distance verdict for a validated pair."""
     if s < 1:
         raise ParameterError("s must be at least 1")
     if not group.is_transitive():
         return TransitivityCheck(False, "not vertex-transitive",
                                  {"vertex_orbit_size": len(group.orbit(0))})
+    dp = distance_partition(g, 0)
     if s > dp.eccentricity:
         return TransitivityCheck(
             False, f"s={s} exceeds the diameter {dp.eccentricity}",
             {"diameter": dp.eccentricity})
-    counts = _layer_orbit_counts(group, dp)
+    counts = _layer_orbit_counts(g, group)
     layer_orbits = {i: counts[i] for i in range(1, s + 1)}
     ok = all(c == 1 for c in layer_orbits.values())
     return TransitivityCheck(
@@ -163,8 +165,8 @@ def _arc_transitivity(g: Graph, group: PermutationGroup, s: int
     """The s-arc verdict, and for s = 2 the transitivity flags of the
     neighborhood action at vertex 0 (``None`` when they were not needed:
     the group is intransitive or the valency is below 2)."""
-    if s not in (1, 2, 3):
-        raise ParameterError("s must be 1, 2 or 3")
+    if s < 1:
+        raise ParameterError("s must be at least 1")
     if not group.is_transitive():
         return TransitivityCheck(False, "not vertex-transitive", {}), None
     # a vertex-transitive automorphism group makes the graph regular, so
@@ -439,26 +441,27 @@ def classify_pair(g: Graph, group: PermutationGroup) -> TransitivityReport:
     """Fill the whole report: transitivity flags, intersection numbers,
     neighborhood orbit counts, girth shortcuts, and the catalog row (with
     "VIOLATION" when a qualifying pair matches no row)."""
-    # every vertex-local fact is read off the validation's layering from
-    # vertex 0; a vertex-transitive group puts vertex 0 on a shortest cycle,
-    # so one BFS closes one, and an intransitive group needs the girth and
-    # diameter over all vertices
-    dp = _validate_pair(g, group)
+    # every vertex-local fact is read off the layering from vertex 0 that the
+    # validation stores on the graph; a vertex-transitive group puts vertex 0
+    # on a shortest cycle, so one BFS closes one, and an intransitive group
+    # needs the girth and diameter over all vertices
+    _validate_pair(g, group)
+    dp = distance_partition(g, 0)
     valency = g.valency()
     transitive = group.is_transitive()
     girth_value = bfs_cycle_length(g, 0) if transitive else girth(g)
     complete_graph = is_complete(g)
-    dt = {s: _distance_transitivity(group, s, dp) for s in (1, 2)}
+    dt = {s: _distance_transitivity(g, group, s) for s in (1, 2)}
     at1, _ = _arc_transitivity(g, group, 1)
     at2, neighbor_flags = _arc_transitivity(g, group, 2)
     at = {1: at1, 2: at2}
     gt2 = None if complete_graph else bool(_geodesic_transitivity(g, group, at1))
-    inter = _intersection_numbers(g, dp)
+    inter = intersection_numbers(g, 0)
 
     neighborhood: dict = {"neighborhood_size": valency,
                           "second_layer_size": len(dp.layer(2))}
     if transitive and valency >= 1:
-        counts = _layer_orbit_counts(group, dp)
+        counts = _layer_orbit_counts(g, group)
         neighborhood["orbits_on_neighbors"] = counts[1]
         if dp.layer(2):
             neighborhood["orbits_on_second_layer"] = counts[2]
@@ -489,7 +492,7 @@ def classify_pair(g: Graph, group: PermutationGroup) -> TransitivityReport:
         vertex_count=g.n,
         valency=valency,
         girth=girth_value,
-        diameter=dp.eccentricity if transitive else _diameter(g, dp),
+        diameter=dp.eccentricity if transitive else diameter(g),
         group_order=group.order(),
         vertex_transitive=transitive,
         distance_transitive={s: bool(v) for s, v in dt.items()},

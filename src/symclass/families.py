@@ -460,6 +460,17 @@ _INT_PARAM_GROUPS = {
     "hamming_full": (hamming_full, 2),
 }
 
+
+def _parameter_text(rest: str) -> str:
+    """The parameter text after a group name, written ``:p``, ``(p)`` or
+    ``p``: one colon or one pair of enclosing parentheses is taken off."""
+    if rest.startswith("("):
+        if not rest.endswith(")"):
+            raise ParameterError(f"unbalanced parentheses in group parameter {rest!r}")
+        return rest[1:-1]
+    return rest[1:] if rest.startswith(":") else rest
+
+
 def build_group(spec: str) -> PermutationGroup:
     """Build a named group from a compact spec string.
 
@@ -470,7 +481,7 @@ def build_group(spec: str) -> PermutationGroup:
     if s in _NO_PARAM_GROUPS:
         return _NO_PARAM_GROUPS[s]()
     if s.startswith("wreath_hamming"):
-        inner = s[len("wreath_hamming"):].lstrip(":(").rstrip(")")
+        inner = _parameter_text(s[len("wreath_hamming"):])
         if not inner:
             raise ParameterError("wreath_hamming needs a coordinate group, "
                                  "e.g. wreath_hamming(frobenius(7))")
@@ -480,7 +491,7 @@ def build_group(spec: str) -> PermutationGroup:
         if not s.startswith(name):
             continue
         rest = s[len(name):]
-        parts = [p for p in re.split(r"[:,]", rest.lstrip(":(").rstrip(")")) if p]
+        parts = [p for p in re.split(r"[:,]", _parameter_text(rest)) if p]
         ctor, arity = _INT_PARAM_GROUPS[name]
         if not all(p.isdigit() for p in parts):
             if rest[0] not in ":(+-0123456789":

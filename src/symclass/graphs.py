@@ -25,9 +25,10 @@ from .perm import Permutation
 
 
 class Graph:
-    """Adjacency-list graph; neighbor lists are kept sorted ascending."""
+    """Adjacency-list graph; neighbor lists are kept sorted ascending, and the
+    distance partition from a vertex is kept once some query has asked for it."""
 
-    __slots__ = ("n", "adjacency", "_adj_sets")
+    __slots__ = ("n", "adjacency", "_adj_sets", "_partitions")
 
     def __init__(self, n: int, edges=()):
         if n < 0:
@@ -43,6 +44,7 @@ class Graph:
         self.n = n
         self._adj_sets = tuple(frozenset(s) for s in adj)
         self.adjacency = tuple(tuple(sorted(s)) for s in adj)
+        self._partitions = {}
 
     @classmethod
     def from_adjacency(cls, adjacency) -> "Graph":
@@ -85,7 +87,7 @@ class Graph:
         return sum(len(nbrs) for nbrs in self.adjacency) // 2
 
     def is_connected(self) -> bool:
-        return self.n == 0 or sum(map(len, _bfs_layers(self, 0))) == self.n
+        return self.n == 0 or sum(map(len, distance_partition(self, 0).layers)) == self.n
 
     def relabel(self, phi: Permutation) -> "Graph":
         """The graph with vertex ``v`` renamed to ``phi(v)``."""
@@ -138,31 +140,23 @@ class DistancePartition(NamedTuple):
 
 
 def distance_partition(g: Graph, u: int) -> DistancePartition:
+    """The distance partition from ``u``, layered on first use and kept by
+    ``g`` (the tuples are immutable, so every caller shares them)."""
     if not 0 <= u < g.n:
         raise ParameterError(f"vertex {u} out of range")
-    return DistancePartition(u, tuple(tuple(layer) for layer in _bfs_layers(g, u)))
-
-
-def _spanning_partition(g: Graph, u: int, message: str) -> DistancePartition:
-    """The distance partition from ``u``; its covering every vertex is the
-    connectivity check, so no second walk is needed."""
-    dp = distance_partition(g, u)
-    if sum(map(len, dp.layers)) != g.n:
-        raise DisconnectedGraph(message)
+    dp = g._partitions.get(u)
+    if dp is None:
+        dp = g._partitions[u] = DistancePartition(
+            u, tuple(tuple(layer) for layer in _bfs_layers(g, u)))
     return dp
 
 
 def diameter(g: Graph) -> int:
     if g.n == 0:
         raise InvalidGraph("empty graph has no diameter")
-    return _diameter(g, _spanning_partition(
-        g, 0, "diameter of a disconnected graph is undefined"))
-
-
-def _diameter(g: Graph, dp: DistancePartition) -> int:
-    """The diameter of the connected ``g``, given its partition from 0."""
-    return max([dp.eccentricity, *(distance_partition(g, u).eccentricity
-                                   for u in range(1, g.n))])
+    if not g.is_connected():
+        raise DisconnectedGraph("diameter of a disconnected graph is undefined")
+    return max(distance_partition(g, u).eccentricity for u in range(g.n))
 
 
 def girth(g: Graph):
@@ -222,24 +216,14 @@ class IntersectionNumbers(NamedTuple):
 
 
 def intersection_numbers(g: Graph, u: int) -> IntersectionNumbers:
-    """Edge counts from each vertex of layer i into layers i-1, i, i+1."""
-    return _intersection_numbers(g, _regular_partition(g, u))
-
-
-def _regular_partition(g: Graph, u: int) -> DistancePartition:
-    """The distance partition from ``u``, once ``g`` is known to be
-    non-empty, connected and regular: the precondition of
-    ``_intersection_numbers``."""
+    """Edge counts from each vertex of layer i into layers i-1, i, i+1, for a
+    non-empty, connected, regular graph."""
     if g.n == 0:
         raise InvalidGraph("empty graph")
-    dp = _spanning_partition(g, u, "intersection numbers need a connected graph")
+    dp = distance_partition(g, u)
+    if not g.is_connected():
+        raise DisconnectedGraph("intersection numbers need a connected graph")
     g.valency()  # raises IrregularGraph when degrees differ
-    return dp
-
-
-def _intersection_numbers(g: Graph, dp: DistancePartition) -> IntersectionNumbers:
-    """The intersection numbers over the layers of ``dp``, a distance
-    partition of the connected regular graph ``g``."""
     layer_of = {}
     for i, layer in enumerate(dp.layers):
         for v in layer:

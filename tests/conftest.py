@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import symclass
+import symclass.graphs as graphs_module
 from symclass import (
     Graph,
     Permutation,
@@ -41,6 +42,21 @@ def chain_builds(monkeypatch) -> list:
 
     monkeypatch.setattr(StabilizerChain, "__init__", counting)
     return built
+
+
+@pytest.fixture
+def layerings(monkeypatch) -> list:
+    """``(graph, sources)`` for every ``graphs._bfs_layers`` walk during the
+    test (the automorphism search imports its own reference and is not seen)."""
+    walked = []
+    original = graphs_module._bfs_layers
+
+    def recording(g, *sources):
+        walked.append((g, sources))
+        return original(g, *sources)
+
+    monkeypatch.setattr(graphs_module, "_bfs_layers", recording)
+    return walked
 
 
 def python_stdout(*argv) -> str:
@@ -187,8 +203,8 @@ def brute_is_2dt(g: Graph, elements) -> bool:
 def enumerate_s_arcs(g: Graph, s: int) -> list[tuple]:
     """All s-arcs (paths allowed to repeat, but with no immediate backtrack),
     in lexicographic order: the list the arc and geodesic oracles walk."""
-    if s not in (1, 2, 3):
-        raise ParameterError("s must be 1, 2 or 3")
+    if s < 1:
+        raise ParameterError("s must be at least 1")
     arcs = [(v,) for v in range(g.n)]
     for _ in range(s):
         arcs = [

@@ -9,6 +9,7 @@ from symclass import (
     CLAIM_DESCRIPTIONS,
     CLAIM_IDS,
     Budget,
+    Graph,
     distance_partition,
     enumerate_subgroups,
     girth,
@@ -220,10 +221,10 @@ def test_girth4_claims_build_and_canonicalize_no_reference(monkeypatch):
     lambda: (families.grid_complement(4).graph, families.wreath_grid(4)),
 ], ids=["octahedron", "grid_complement(4)"])
 def test_subgroup_flags_match_the_public_deciders(monkeypatch, build):
-    graph, full = build()
+    built, full = build()
+    # a fresh copy: the family constructor layered its graph from 0
+    graph = Graph(built.n, built.edges())
     subgroups = enumerate_subgroups(full)
-    expected = [(bool(is_s_distance_transitive(graph, sub, 2)),
-                 bool(is_s_arc_transitive(graph, sub, 2))) for sub in subgroups]
     calls = []
 
     def recording(module, name):
@@ -237,6 +238,10 @@ def test_subgroup_flags_match_the_public_deciders(monkeypatch, build):
 
     recording(claims_module, "_validate_pair")
     recording(graphs_module, "_bfs_layers")
-    # one validation and one layering for all the subgroups
-    assert claims_module._subgroup_flags(graph, full, subgroups) == expected
+    flags = claims_module._subgroup_flags(graph, full, subgroups)
+    # one validation and one layering for all the subgroups, and the public
+    # deciders read the layering the sweep left on the graph
+    assert calls == ["_validate_pair", "_bfs_layers"]
+    assert flags == [(bool(is_s_distance_transitive(graph, sub, 2)),
+                      bool(is_s_arc_transitive(graph, sub, 2))) for sub in subgroups]
     assert calls == ["_validate_pair", "_bfs_layers"]

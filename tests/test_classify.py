@@ -13,7 +13,6 @@ from conftest import (
 
 import symclass.autgroup as autgroup_module
 import symclass.classify as classify_module
-import symclass.graphs as graphs_module
 import symclass.group as group_module
 from symclass import (
     PermutationGroup,
@@ -52,6 +51,7 @@ from symclass.errors import (
     InternalCheckFailed,
     InvariantCellError,
     NotAnAutomorphismGroup,
+    ParameterError,
 )
 from symclass.families import (
     agl1,
@@ -111,6 +111,19 @@ def test_complete_bipartite_wreath_is_2at():
 
 def test_petersen_is_3_arc_transitive():
     assert is_s_arc_transitive(petersen().graph, petersen_sym5(), 3)
+
+
+def test_arc_transitivity_past_3_arcs_matches_the_tuple_orbit_oracle():
+    # the 7-cycle's dihedral group is s-arc-transitive for every s; S5 on the
+    # Petersen graph is 3- but not 4-arc-transitive
+    for graph, group, verdicts in ((cycle(7).graph, dihedral(7), (True, True, True)),
+                                   (petersen().graph, petersen_sym5(), (True, False, False))):
+        for s, expected in zip((3, 4, 5), verdicts):
+            check = is_s_arc_transitive(graph, group, s)
+            assert (check.ok, check.reason, check.evidence) == brute_arc_check(graph, group, s)
+            assert check.ok is expected
+    with pytest.raises(ParameterError, match="at least 1"):
+        is_s_arc_transitive(cycle(7).graph, dihedral(7), 0)
 
 
 def test_2dt_matches_brute_force_oracle():
@@ -478,42 +491,43 @@ def test_classify_pair_builds_no_chain_twice(chain_builds):
     assert len(chain_builds) == len(set(chain_builds)) == 3
 
 
-def test_vertex_transitive_pair_is_layered_once_from_0(monkeypatch):
-    graph, group = hamming(3, 2).graph, wreath_hamming(sym(3), 3)
-    layered = []
-    real = graphs_module._bfs_layers
-
-    def recording(g, start):
-        layered.append(start)
-        return real(g, start)
-
-    monkeypatch.setattr(graphs_module, "_bfs_layers", recording)
-    report = classify_pair(graph, group)
-    assert (report.girth, report.diameter) == (4, 3)
-    assert layered == [0]
+def _fresh_copy(graph: Graph) -> Graph:
+    """An equal graph that keeps no partition yet (the family constructors
+    layer their graphs from 0 when they check them)."""
+    return Graph(graph.n, graph.edges())
 
 
-def test_validation_layering_is_the_one_every_verdict_reads(monkeypatch):
-    # the connectivity check is the layering from 0, not a separate walk
-    graph, group = hamming(3, 2).graph, wreath_hamming(sym(3), 3)
-    layered = []
-    real = graphs_module._bfs_layers
+def test_vertex_transitive_pair_is_layered_once_from_0(layerings):
+    graph, group = _fresh_copy(hamming(3, 2).graph), wreath_hamming(sym(3), 3)
+    layerings.clear()
+    for _ in range(2):
+        report = classify_pair(graph, group)
+        assert (report.girth, report.diameter) == (4, 3)
+    assert [(g is graph, sources) for g, sources in layerings] == [(True, (0,))]
 
-    def recording(g, *sources):
-        layered.append(sources)
-        return real(g, *sources)
 
-    def no_second_walk(self):
-        raise AssertionError("is_connected walked the graph again")
-
-    monkeypatch.setattr(graphs_module, "_bfs_layers", recording)
-    monkeypatch.setattr(Graph, "is_connected", no_second_walk)
+def test_validation_layering_is_the_one_every_verdict_reads(layerings):
+    # the connectivity check is the layering from 0, not a separate walk, and
+    # it is kept: every later decider on the same graph reads it
+    graph, group = _fresh_copy(hamming(3, 2).graph), wreath_hamming(sym(3), 3)
+    layerings.clear()
     for decide in (lambda: classify_pair(graph, group),
                    lambda: is_s_distance_transitive(graph, group, 2),
+                   lambda: is_s_arc_transitive(graph, group, 2),
+                   lambda: is_2_geodesic_transitive(graph, group),
                    lambda: _subgroup_flags(graph, group, [group])):
-        layered.clear()
         decide()
-        assert layered == [(0,)]
+        assert [(g is graph, sources) for g, sources in layerings] == [(True, (0,))]
+
+
+def test_public_deciders_over_a_lattice_layer_the_graph_once(layerings):
+    graph = _fresh_copy(octahedron().graph)
+    subgroups = enumerate_subgroups(octahedral())
+    layerings.clear()
+    flags = [(bool(is_s_distance_transitive(graph, sub, 2)),
+              bool(is_s_arc_transitive(graph, sub, 2))) for sub in subgroups]
+    assert flags == _subgroup_flags(graph, octahedral(), subgroups)
+    assert [(g is graph, sources) for g, sources in layerings] == [(True, (0,))]
 
 
 def test_intransitive_pair_keeps_the_girth_and_diameter_of_the_whole_graph():
@@ -557,10 +571,12 @@ def _random_word(rng, group):
     return word
 
 
-def test_layer_orbit_counts_match_the_layer_walk():
+def test_layer_orbit_counts_match_the_layer_walk(layerings):
     rng = random.Random(7)
     for pair in standard_corpus():
-        dp = distance_partition(pair.graph, 0)
+        graph = _fresh_copy(pair.graph)
+        layerings.clear()
+        dp = distance_partition(graph, 0)
         # the pair's group, and subgroups of it generated by one or two random
         # words (mostly intransitive; they still preserve the graph)
         groups = [pair.group] + [
@@ -570,4 +586,6 @@ def test_layer_orbit_counts_match_the_layer_walk():
         for group in groups:
             stab = group.point_stabilizer(0)
             expected = [walk_layer_orbit_counts(stab, layer) for layer in dp.layers]
-            assert classify_module._layer_orbit_counts(group, dp) == expected, pair.name
+            assert classify_module._layer_orbit_counts(graph, group) == expected, pair.name
+        # every group's counts read the one partition the graph keeps
+        assert [(g is graph, sources) for g, sources in layerings] == [(True, (0,))], pair.name

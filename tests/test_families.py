@@ -210,6 +210,13 @@ def test_a_known_group_name_with_a_bad_parameter_is_a_bad_parameter():
         == [120, 20, 21]
 
 
+def test_unbalanced_group_specs_are_bad_parameters():
+    for spec in ("sym(5", "sym5)", "sym((5))", "wreath_hamming(frobenius(7)"):
+        with pytest.raises(ParameterError) as caught:
+            build_group(spec)
+        assert caught.value.code == "bad-parameter", spec
+
+
 def test_parameter_validation():
     with pytest.raises(ParameterError):
         grid(1, 4)

@@ -10,7 +10,6 @@ from conftest import (
     reference_bfs_cycle_length,
 )
 
-import symclass.graphs as graphs_module
 from symclass import (
     Graph,
     Permutation,
@@ -191,34 +190,67 @@ def test_intersection_numbers_errors():
         intersection_numbers(two_parts, 0)
 
 
-def test_graph_queries_layer_each_vertex_once(monkeypatch):
-    # connectivity is read off a layering the query needs anyway
-    layered = []
-    real = graphs_module._bfs_layers
-
-    def recording(g, *sources):
-        layered.append(sources)
-        return real(g, *sources)
-
-    monkeypatch.setattr(graphs_module, "_bfs_layers", recording)
-    cube = hamming(3, 2).graph
-    hexagon = cycle(6).graph
+def test_graph_queries_layer_each_vertex_once(layerings):
+    # connectivity is read off a layering the query needs anyway, and every
+    # query reads the partitions the graph keeps, so repeating one walks
+    # nothing again; fresh copies, since the family constructors layer their
+    # graphs from 0 when they check them
+    cube = Graph(8, hamming(3, 2).graph.edges())
+    hexagon = Graph(6, cycle(6).graph.edges())
     reflection = PermutationGroup(6, [Permutation([0, 5, 4, 3, 2, 1])])
-    for query, vertices in ((lambda: intersection_numbers(cube, 0), [0]),
-                            (lambda: diameter(cube), range(8)),
-                            (lambda: classify_pair(hexagon, reflection), range(6))):
-        layered.clear()
-        query()
-        assert layered == [(u,) for u in vertices]
-    assert classify_pair(hexagon, reflection).diameter == diameter(hexagon) == 3
+    layerings.clear()
+    for _ in range(2):
+        intersection_numbers(cube, 0)
+        assert diameter(cube) == 3
+        assert classify_pair(hexagon, reflection).diameter == diameter(hexagon) == 3
+        intersection_numbers(hexagon, 4)
+    walked = [(id(g), sources) for g, sources in layerings]
+    assert walked == ([(id(cube), (u,)) for u in range(8)]
+                      + [(id(hexagon), (u,)) for u in range(6)])
+
+
+def test_distance_partitions_are_kept_by_each_graph_object(layerings):
+    g = Graph(10, petersen().graph.edges())
+    layerings.clear()
+    first = distance_partition(g, 0)
+    assert distance_partition(g, 0) is first
+    # an equal graph and a relabelled one each layer for themselves
+    twin = Graph(g.n, g.edges())
+    assert twin == g
+    assert distance_partition(twin, 0) == first
+    assert distance_partition(twin, 0) is not first
+    phi = Permutation(random.Random(3).sample(range(10), 10))
+    moved = g.relabel(phi)
+    assert distance_partition(moved, phi.images[0]).layers == tuple(
+        tuple(sorted(phi.images[v] for v in layer)) for layer in first.layers)
+    assert [(id(h), sources) for h, sources in layerings] == [
+        (id(g), (0,)), (id(twin), (0,)), (id(moved), (phi.images[0],))]
+
+
+def test_an_out_of_range_vertex_stores_no_partition(layerings):
+    g = Graph(4, cycle(4).graph.edges())
+    layerings.clear()
+    for u in (-1, 4):
+        with pytest.raises(ParameterError):
+            distance_partition(g, u)
+        with pytest.raises(ParameterError):
+            intersection_numbers(g, u)
+    assert g._partitions == {} and layerings == []
+    # the checks keep their order: out of range before disconnected before
+    # irregular
+    with pytest.raises(ParameterError):
+        intersection_numbers(Graph(4, [(0, 1), (1, 2)]), 4)
+    with pytest.raises(DisconnectedGraph):
+        intersection_numbers(Graph(4, [(0, 1), (1, 2)]), 0)
 
 
 def test_s_arc_counts():
     assert len(enumerate_s_arcs(cycle(5).graph, 2)) == 10
     assert len(enumerate_s_arcs(octahedron().graph, 2)) == 72  # 6 * 4 * 3
     assert len(enumerate_s_arcs(petersen().graph, 3)) == 120  # 10 * 3 * 2 * 2
+    assert len(enumerate_s_arcs(petersen().graph, 5)) == 480  # 10 * 3 * 2 ** 4
     with pytest.raises(ParameterError):
-        enumerate_s_arcs(cycle(5).graph, 4)
+        enumerate_s_arcs(cycle(5).graph, 0)
 
 
 def test_s_arcs_are_lexicographic_and_nonbacktracking():
