@@ -45,7 +45,7 @@ from .graphs import (
 from .group import PermutationGroup
 from .numtheory import is_prime, prime_power
 from .perm import Permutation
-from .subgroups import SUBGROUP_ORDER_CAP, enumerate_subgroups
+from .subgroups import SUBGROUP_ORDER_CAP, subgroup_classes
 
 
 class ClaimVerdict(NamedTuple):
@@ -268,23 +268,32 @@ def _subgroup_flags(graph: Graph, ambient: PermutationGroup, subgroups) -> list:
              bool(_arc_transitivity(graph, sub, 2)[0])) for sub in subgroups]
 
 
+def _lattice(graph: Graph, ambient: PermutationGroup, budget: Budget) -> list:
+    """``(representative, class length, dt2, at2)`` for each conjugacy class
+    of subgroups of ``ambient``. ``ambient`` acts on ``graph`` by
+    automorphisms, so conjugate subgroups give isomorphic pairs and every
+    verdict is the representative's; each count is weighted by the length."""
+    classes = subgroup_classes(ambient, budget.subgroup_order_cap)
+    flags = _subgroup_flags(graph, ambient, [sub for sub, _ in classes])
+    return [(sub, length, dt2, at2) for (sub, length), (dt2, at2) in zip(classes, flags)]
+
+
 def _claim_l32(budget: Budget) -> ClaimVerdict:
     wreath = families.wreath_grid(4)
     skip = _needs_enumeration(budget, "L3.2", wreath.order())
     if skip:
         return skip
-    graph4 = families.grid_complement(4).graph
-    subgroups = enumerate_subgroups(wreath, budget.subgroup_order_cap)
+    lattice = _lattice(families.grid_complement(4).graph, wreath, budget)
     mismatches = []
     condition_count = 0
-    for sub, (dt2, at2) in zip(subgroups, _subgroup_flags(graph4, wreath, subgroups)):
+    for sub, length, dt2, at2 in lattice:
         condition = check_condition_3_1(sub, 4).satisfied
         qualifying = dt2 and not at2
         if condition:
-            condition_count += 1
+            condition_count += length
         if condition != qualifying:
-            mismatches.append({"order": sub.order(), "condition": condition,
-                               "qualifying": qualifying})
+            mismatches += [{"order": sub.order(), "condition": condition,
+                            "qualifying": qualifying}] * length
     witness_results = {}
     for m in (5, 6):
         witness = _profile(f"grid_complement({m})+sym2x{m}witness")
@@ -296,7 +305,7 @@ def _claim_l32(budget: Budget) -> ClaimVerdict:
             not check_condition_3_1(full.group, m).satisfied
             and not (full.dt2 and not full.at2))
     ok = not mismatches and all(witness_results.values())
-    evidence = {"m4_subgroups": len(subgroups),
+    evidence = {"m4_subgroups": sum(length for _, length, _, _ in lattice),
                 "m4_condition_count": condition_count,
                 "m4_discrepancies": mismatches,
                 **witness_results}
@@ -311,15 +320,14 @@ def _claim_l33(budget: Budget) -> ClaimVerdict:
         skip = _needs_enumeration(budget, "L3.3", wreath.order())
         if skip:
             return skip
-        graph = families.complete_bipartite(m, m).graph
-        subgroups = enumerate_subgroups(wreath, budget.subgroup_order_cap)
+        lattice = _lattice(families.complete_bipartite(m, m).graph, wreath, budget)
         dt_count = at_count = 0
-        for sub, (dt2, at2) in zip(subgroups, _subgroup_flags(graph, wreath, subgroups)):
-            dt_count += dt2
-            at_count += at2
+        for sub, length, dt2, at2 in lattice:
+            dt_count += dt2 * length
+            at_count += at2 * length
             if dt2 != at2:
-                failures.append({"m": m, "order": sub.order(), "dt2": dt2, "at2": at2})
-        evidence[f"m{m}_subgroups"] = len(subgroups)
+                failures += [{"m": m, "order": sub.order(), "dt2": dt2, "at2": at2}] * length
+        evidence[f"m{m}_subgroups"] = sum(length for _, length, _, _ in lattice)
         evidence[f"m{m}_2dt_groups"] = dt_count
         evidence[f"m{m}_2at_groups"] = at_count
     evidence["discrepancies"] = failures
@@ -331,23 +339,22 @@ def _claim_l34(budget: Budget) -> ClaimVerdict:
     skip = _needs_enumeration(budget, "L3.4", full.order())
     if skip:
         return skip
-    graph = families.octahedron().graph
     blocks = [{0, 3}, {1, 4}, {2, 5}]
-    subgroups = enumerate_subgroups(full, budget.subgroup_order_cap)
+    lattice = _lattice(families.octahedron().graph, full, budget)
     dt_orders = []
     dt_index2_images = []
     any_at = False
     index2_images = []
     small_block_image_dt = None
-    for sub, (dt2, at2) in zip(subgroups, _subgroup_flags(graph, full, subgroups)):
+    for sub, length, dt2, at2 in lattice:
         any_at = any_at or at2
         if dt2:
-            dt_orders.append(sub.order())
+            dt_orders += [sub.order()] * length
         if sub.order() == 24:
             projection, _ = induced_action(sub, blocks)
-            index2_images.append(projection.order())
+            index2_images += [projection.order()] * length
             if dt2:
-                dt_index2_images.append(projection.order())
+                dt_index2_images += [projection.order()] * length
             if projection.order() == 3:
                 small_block_image_dt = dt2
     ok = (sorted(dt_orders) == [24, 24, 48]
@@ -355,7 +362,7 @@ def _claim_l34(budget: Budget) -> ClaimVerdict:
           and sorted(dt_index2_images) == [6, 6]
           and small_block_image_dt is False
           and not any_at)
-    evidence = {"subgroups": len(subgroups),
+    evidence = {"subgroups": sum(length for _, length, _, _ in lattice),
                 "two_dt_orders": sorted(dt_orders),
                 "index2_block_image_orders": sorted(index2_images),
                 "dt_index2_block_image_orders": sorted(dt_index2_images),
@@ -369,13 +376,13 @@ def _claim_l35(budget: Budget) -> ClaimVerdict:
     skip = _needs_enumeration(budget, "L3.5", full.order())
     if skip:
         return skip
-    graph = families.icosahedron().graph
-    subgroups = enumerate_subgroups(full, budget.subgroup_order_cap)
-    dt_orders = sorted(sub.order() for sub, (dt2, _) in
-                       zip(subgroups, _subgroup_flags(graph, full, subgroups)) if dt2)
+    lattice = _lattice(families.icosahedron().graph, full, budget)
+    dt_orders = sorted(order for sub, length, dt2, _ in lattice if dt2
+                       for order in [sub.order()] * length)
     ok = dt_orders == [60, 120]
     return ClaimVerdict("L3.5", "verified" if ok else "refuted",
-                        {"subgroups": len(subgroups), "two_dt_orders": dt_orders})
+                        {"subgroups": sum(length for _, length, _, _ in lattice),
+                         "two_dt_orders": dt_orders})
 
 
 def _claim_l41(budget: Budget) -> ClaimVerdict:

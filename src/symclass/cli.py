@@ -132,6 +132,10 @@ def _load_group(args, graph: Graph, family) -> tuple[PermutationGroup, str]:
 
 def _cmd_construct(args) -> int:
     fam = families.build_graph(args.family, *(args.params or []))
+    if args.with_group:
+        # the family's group is order-checked by its first chain; build it
+        # before anything is printed
+        fam.symmetry_group().order()
     if args.format == "graph6":
         print(encode_graph6(fam.graph))
     elif args.format == "edges":

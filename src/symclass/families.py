@@ -2,10 +2,12 @@
 
 Every graph constructor returns a :class:`LabeledFamily` whose label map and
 symmetry group are deterministic, so downstream reports are reproducible. Each
-group is built once and its order checked through its stabilizer chain; the
-graph families of known shape also check valency, girth and diameter from
-vertex 0. A failed check raises :class:`InternalCheckFailed`, under
-``python -O`` as well.
+group is built once and records the order it was built to have; the first
+stabilizer chain built over its generators (the one ``order()`` reads, or a
+stabilizer's) is checked against it, so a caller that only needs the graph
+never pays for Schreier-Sims. The graph families of known shape check
+valency, girth and diameter from vertex 0 at construction. A failed check
+raises :class:`InternalCheckFailed`, under ``python -O`` as well.
 """
 
 from __future__ import annotations
@@ -50,15 +52,19 @@ class LabeledFamily:
             raise ParameterError(f"{self.name}: unknown label {label!r}") from None
 
     def symmetry_group(self) -> PermutationGroup:
-        """The group the family was built with, its chain already built."""
+        """The group the family was built with. Its order is checked by the
+        first stabilizer chain built over its generators."""
         return self._group
 
 
 def _checked(group: PermutationGroup, order: int) -> PermutationGroup:
-    """``group``, once its stabilizer chain gives the order it was built to have."""
-    if group.order() != order:
-        raise InternalCheckFailed(
-            f"group of degree {group.degree} has order {group.order()}, expected {order}")
+    """``group``, with ``order`` recorded as the order it was built to have.
+
+    Every chain built over the generators is compared with it before it is
+    kept; a chain that already exists is compared at once."""
+    group._expected_order = order
+    if group._chain is not None:
+        group._check_order(group._chain.order())
     return group
 
 

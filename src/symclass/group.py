@@ -10,7 +10,13 @@ from __future__ import annotations
 import math
 from collections import defaultdict, deque
 
-from .errors import DegreeMismatch, ParameterError, ParseError, SizeCapExceeded
+from .errors import (
+    DegreeMismatch,
+    InternalCheckFailed,
+    ParameterError,
+    ParseError,
+    SizeCapExceeded,
+)
 from .perm import Permutation, _compose
 
 _ELEMENTS_CAP = 2_000_000
@@ -199,7 +205,8 @@ class PermutationGroup:
     to share between threads.
     """
 
-    __slots__ = ("degree", "generators", "_chain", "_order", "_stabilizers", "_orbit_of")
+    __slots__ = ("degree", "generators", "_chain", "_order", "_expected_order",
+                 "_stabilizers", "_orbit_of")
 
     def __init__(self, degree: int, generators=()):
         if degree < 1:
@@ -218,6 +225,10 @@ class PermutationGroup:
         # search, and the subgroup enumeration from the element set it
         # closed), so that order() needs no chain
         self._order = None
+        # set by a constructor that built the group to have this order
+        # (``families._checked``); every chain over the generators is
+        # compared with it before it is kept
+        self._expected_order = None
         self._stabilizers = {}
         # point -> its orbit, filled one orbit at a time: deciding transitivity
         # walks the orbit of 0 only
@@ -227,8 +238,22 @@ class PermutationGroup:
     def chain(self) -> StabilizerChain:
         """The stabilizer chain, based at point 0 so that ``G_0`` can be read off it."""
         if self._chain is None:
-            self._chain = StabilizerChain(self.degree, self.generators, base_prefix=(0,))
+            self._chain = self._checked_chain((0,))
         return self._chain
+
+    def _checked_chain(self, base_prefix) -> StabilizerChain:
+        """A chain over the generators, once its order is the expected one."""
+        chain = StabilizerChain(self.degree, self.generators, base_prefix)
+        self._check_order(chain.order())
+        return chain
+
+    def _check_order(self, order: int) -> None:
+        """Raise ``InternalCheckFailed`` if an expected order is recorded and
+        ``order`` is not it."""
+        if self._expected_order is not None and order != self._expected_order:
+            raise InternalCheckFailed(
+                f"group of degree {self.degree} has order {order}, "
+                f"expected {self._expected_order}")
 
     def order(self) -> int:
         return self.chain.order() if self._order is None else self._order
@@ -262,14 +287,14 @@ class PermutationGroup:
             if x == 0:
                 stab = PermutationGroup(self.degree, self.chain.strong_generators(1))
             else:
-                chain = StabilizerChain(self.degree, self.generators, base_prefix=(x,))
+                chain = self._checked_chain((x,))
                 stab = PermutationGroup(self.degree,
                                         chain.strong_generators(chain.prefix_length))
             self._stabilizers[x] = stab
         return stab
 
     def pointwise_stabilizer(self, points) -> "PermutationGroup":
-        chain = StabilizerChain(self.degree, self.generators, base_prefix=tuple(points))
+        chain = self._checked_chain(tuple(points))
         return PermutationGroup(self.degree, chain.strong_generators(chain.prefix_length))
 
     def elements(self) -> list[Permutation]:

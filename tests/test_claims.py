@@ -1,10 +1,15 @@
 import inspect
+import json
+from pathlib import Path
 
 import pytest
+
+from conftest import python_stdout
 
 import symclass.autgroup as autgroup_module
 import symclass.classify as classify_module
 import symclass.graphs as graphs_module
+import symclass.subgroups as subgroups_module
 from symclass import (
     CLAIM_DESCRIPTIONS,
     CLAIM_IDS,
@@ -245,3 +250,41 @@ def test_subgroup_flags_match_the_public_deciders(monkeypatch, build):
     assert flags == [(bool(is_s_distance_transitive(graph, sub, 2)),
                       bool(is_s_arc_transitive(graph, sub, 2))) for sub in subgroups]
     assert calls == ["_validate_pair", "_bfs_layers"]
+
+
+def test_lattice_claims_read_subgroup_classes_only(monkeypatch):
+    # L3.2-L3.5 decide one subgroup per conjugacy class and weight each
+    # verdict by the class length; the evidence is the golden one
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerate_subgroups called")
+
+    monkeypatch.setattr(subgroups_module, "enumerate_subgroups", refuse)
+    monkeypatch.setattr(claims_module, "enumerate_subgroups", refuse, raising=False)
+    golden = {c["claim"]: c for c in json.loads(
+        (Path(__file__).parent / "golden" / "verify_paper_all.json").read_text())["claims"]}
+    for claim in ("L3.2", "L3.3", "L3.4", "L3.5"):
+        verdict = verify_claim(claim)
+        assert verdict.status == "verified"
+        assert verdict.evidence == golden[claim]["evidence"]
+
+
+def test_claim_suite_builds_no_chain_over_hamming_full_7_2():
+    # a fresh interpreter, so no corpus cache is warm
+    code = (
+        "from symclass import StabilizerChain\n"
+        "from symclass.claims import verify_all_claims\n"
+        "from symclass.families import hamming_full\n"
+        "built = []\n"
+        "original = StabilizerChain.__init__\n"
+        "def counting(self, degree, generators, base_prefix=()):\n"
+        "    built.append(tuple(generators))\n"
+        "    original(self, degree, built[-1], base_prefix)\n"
+        "StabilizerChain.__init__ = counting\n"
+        "statuses = {v.status for v in verify_all_claims()}\n"
+        "StabilizerChain.__init__ = original\n"
+        "print(len(built), hamming_full(7, 2).generators in built, *statuses)\n"
+    )
+    count, hamming_chain, *statuses = python_stdout("-c", code).split()
+    assert statuses == ["verified"]
+    assert int(count) <= 260
+    assert hamming_chain == "False"

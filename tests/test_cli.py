@@ -5,7 +5,13 @@ import pytest
 
 from conftest import python_stdout
 
-from symclass import decode_graph6, encode_graph6, format_generator_file, parse_generator_file
+from symclass import (
+    decode_graph6,
+    encode_graph6,
+    families,
+    format_generator_file,
+    parse_generator_file,
+)
 from symclass.cli import main
 from symclass.families import agl1, direct_product, grid_complement, hamming, octahedron, sym
 
@@ -40,6 +46,35 @@ def test_construct_with_group(capsys):
     lines = out.strip().splitlines()
     group = parse_generator_file("\n".join(lines[1:]))
     assert group.order() == 48
+
+
+def test_construct_hamming_with_group_is_unchanged(capsys):
+    code, out, _ = run_cli(capsys, "construct", "hamming", "3", "2", "--with-group")
+    assert code == 0
+    assert out == ("Gr`HOk\n"
+                   "degree 8\n"
+                   "(1 5)(2 6)(3 7)(4 8)\n"
+                   "(3 5)(4 6)\n"
+                   "(2 5 3)(4 6 7)\n")
+
+
+def test_construct_with_group_checks_the_group_order(capsys, monkeypatch):
+    # a family whose group records a wrong order: building the graph checks
+    # nothing, printing the group checks it before anything is printed
+    def wrong_octahedron():
+        fam = octahedron()
+        return families.LabeledFamily(fam.name, fam.graph, fam.labels,
+                                      families._checked(families.octahedral(), 47))
+
+    monkeypatch.setitem(families.GRAPH_FAMILIES, "octahedron", (wrong_octahedron, ()))
+    code, out, _ = run_cli(capsys, "construct", "octahedron")
+    assert code == 0
+    code, out, err = run_cli(capsys, "construct", "octahedron", "--with-group")
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == {
+        "code": "internal-check-failed",
+        "message": "group of degree 6 has order 48, expected 47"}
 
 
 def test_classify_icosahedron_alt5(capsys):

@@ -247,9 +247,30 @@ def test_wreath_hamming_needs_a_transitive_coordinate_group():
         wreath_hamming(alt(2), 2)
 
 
+# each read that builds a chain over the group's own generators, as
+# (method, arguments)
+WRONG_ORDER_READS = (
+    ("order", ()),
+    ("point_stabilizer", (3,)),
+    ("pointwise_stabilizer", ((0, 1),)),
+)
+
+
 def test_wrong_order_raises_a_coded_internal_error():
+    for name, args in WRONG_ORDER_READS:
+        # recording the order builds no chain, so nothing is checked yet
+        group = families._checked(sym(4), 25)
+        assert group._chain is None
+        # the failing chain is not kept: a second read checks again
+        for _ in range(2):
+            with pytest.raises(InternalCheckFailed, match="order 24, expected 25") as info:
+                getattr(group, name)(*args)
+            assert info.value.code == "internal-check-failed"
+    # a group whose chain is already built is checked at once
+    built = sym(3)
+    assert built.order() == 6
     with pytest.raises(InternalCheckFailed, match="order 6, expected 7") as info:
-        families._checked(sym(3), 7)
+        families._checked(built, 7)
     assert info.value.code == "internal-check-failed"
 
 
@@ -270,10 +291,12 @@ def test_checks_still_run_under_python_O():
         "from symclass import families\n"
         "from symclass.errors import InternalCheckFailed\n"
         "codes = [sys.flags.optimize]\n"
-        "try:\n"
-        "    families._checked(families.sym(3), 7)\n"
-        "except InternalCheckFailed as exc:\n"
-        "    codes.append(exc.code)\n"
+        f"for name, args in {WRONG_ORDER_READS!r}:\n"
+        "    group = families._checked(families.sym(4), 25)\n"
+        "    try:\n"
+        "        getattr(group, name)(*args)\n"
+        "    except InternalCheckFailed as exc:\n"
+        "        codes.append(exc.code)\n"
         "families.bfs_cycle_length = lambda g, root: 99\n"
         "try:\n"
         "    families.octahedron()\n"
@@ -281,16 +304,35 @@ def test_checks_still_run_under_python_O():
         "    codes.append(exc.code)\n"
         "print(*codes)\n"
     )
-    assert python_stdout("-O", "-c", code).split() == ["1"] + ["internal-check-failed"] * 2
+    for flags, optimize in ((), "0"), (("-O",), "1"):
+        assert (python_stdout(*flags, "-c", code).split()
+                == [optimize] + ["internal-check-failed"] * 4)
 
 
 def test_family_keeps_the_group_it_built_and_checked(chain_builds):
     fam = grid_complement(5)
     group = fam.symmetry_group()
-    # grid(2, 5) built and checked S2 x S5 once, and the complement keeps it
+    # grid(2, 5) built S2 x S5 and the complement keeps it; its order is
+    # checked by the first chain over its generators, not at construction
+    assert group is fam.symmetry_group()
+    assert group.generators not in chain_builds
+    assert group.order() == 240
     assert chain_builds.count(group.generators) == 1
     built = len(chain_builds)
-    assert group is fam.symmetry_group()
     assert group.order() == 240
     assert len(chain_builds) == built
     assert group.generators == wreath_grid(5).generators
+
+
+@pytest.mark.parametrize("factory, order", [
+    (lambda: hamming(7, 2), 2 ** 7 * math.factorial(7)),
+    (lambda: grid_complement(8), 2 * math.factorial(8)),
+    (lambda: complete_bipartite(5, 5), 2 * math.factorial(5) ** 2),
+])
+def test_building_a_family_builds_no_chain_over_its_group(factory, order, chain_builds):
+    fam = factory()
+    group = fam.symmetry_group()
+    assert group.generators not in chain_builds
+    chain_builds.clear()
+    assert group.order() == order
+    assert chain_builds == [group.generators]

@@ -148,6 +148,31 @@ def test_point_stabilizers_are_built_once_per_point(chain_builds):
     assert [s.order() for s in stabilizers] == [8, 8]
 
 
+def test_every_chain_over_the_generators_compares_the_recorded_order(chain_builds,
+                                                                    monkeypatch):
+    compared = []
+    original = PermutationGroup._check_order
+
+    def recording(self, order):
+        compared.append((self.generators, order))
+        original(self, order)
+
+    monkeypatch.setattr(PermutationGroup, "_check_order", recording)
+    group = octahedral()
+    assert chain_builds == compared == []
+    group.point_stabilizer(0)
+    group.point_stabilizer(3)
+    group.pointwise_stabilizer((0, 1))
+    group.order()
+    own = [gens for gens in chain_builds if gens == group.generators]
+    assert len(own) == 3
+    assert compared == [(group.generators, 48)] * 3
+    # a group with no recorded order compares against nothing
+    plain = PermutationGroup(6, group.generators)
+    assert plain._expected_order is None
+    assert plain.point_stabilizer(3).order() == 8
+
+
 def test_point_stabilizer_of_0_in_a_group_fixing_0():
     group = PermutationGroup(4, [Permutation.from_cycles(4, [(1, 2, 3)]),
                                  Permutation.from_cycles(4, [(1, 2)])])

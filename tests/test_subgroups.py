@@ -1,8 +1,11 @@
+import random
+from collections import Counter
+
 import pytest
 
 from conftest import brute_subgroups, index2_subgroup_count
 
-from symclass import PermutationGroup, enumerate_subgroups
+from symclass import Permutation, PermutationGroup, enumerate_subgroups
 from symclass.errors import BudgetExceeded
 from symclass.families import (
     alt,
@@ -13,6 +16,7 @@ from symclass.families import (
     wreath_bipartite,
     wreath_grid,
 )
+from symclass.subgroups import subgroup_classes
 
 ORACLE_GROUPS = {
     "sym(3)": lambda: sym(3),
@@ -28,6 +32,15 @@ ORACLE_GROUPS = {
     "dihedral(8)": lambda: dihedral(8),
     "dihedral(12)": lambda: dihedral(12),
 }
+
+# the ambient groups of the lattice-sweep benchmark workload
+SWEEP_AMBIENTS = {
+    "wreath_grid(4)": lambda: wreath_grid(4),
+    "wreath_grid(5)": lambda: wreath_grid(5),
+    "octahedral": octahedral,
+    "icosahedral": icosahedral,
+}
+CLASS_GROUPS = {**ORACLE_GROUPS, **SWEEP_AMBIENTS}
 
 
 def test_trivial_group():
@@ -130,3 +143,66 @@ def test_the_trivial_lattice_carries_its_order(chain_builds):
     chain_builds.clear()
     assert only.order() == 1
     assert chain_builds == []
+
+
+def _element_set(group) -> frozenset:
+    return frozenset(p.images for p in group.elements())
+
+
+@pytest.mark.parametrize("name", list(CLASS_GROUPS))
+def test_subgroup_classes_partition_the_lattice(name):
+    group = CLASS_GROUPS[name]()
+    elements = group.elements()
+    # one map per g in G: h -> g^-1 h g, on image tuples, by brute force
+    conjugations = [{h.images: (g.inverse() * h * g).images for h in elements}
+                    for g in elements]
+    classes = subgroup_classes(group)
+    subgroups = enumerate_subgroups(group)
+    assert sum(length for _, length in classes) == len(subgroups)
+    keys = [(len(members), sorted(members))
+            for members in (_element_set(rep) for rep, _ in classes)]
+    assert keys == sorted(keys)
+    class_sets = []
+    for rep, length in classes:
+        members = _element_set(rep)
+        assert rep._order == len(members)
+        images = [frozenset(map(conj.__getitem__, members)) for conj in conjugations]
+        normalizer_order = images.count(members)
+        assert length == len(set(images)) == len(elements) // normalizer_order
+        class_sets.append(set(images))
+    for sub in subgroups:
+        members = _element_set(sub)
+        assert sum(members in conjugates for conjugates in class_sets) == 1
+
+
+@pytest.mark.parametrize("name", list(CLASS_GROUPS))
+def test_subgroup_classes_survive_relabelling(name):
+    group = CLASS_GROUPS[name]()
+    images = list(range(group.degree))
+    random.Random(7).shuffle(images)
+    relabelled = group.relabeled(Permutation(images))
+    assert (Counter((rep.order(), length) for rep, length in subgroup_classes(group))
+            == Counter((rep.order(), length) for rep, length in subgroup_classes(relabelled)))
+
+
+@pytest.mark.parametrize("group, max_order, count", [
+    (sym(4), 400, 11),
+    (alt(5), 400, 9),
+    (sym(5), 400, 19),
+    (sym(6), 720, 56),
+])
+def test_known_subgroup_class_counts(group, max_order, count):
+    assert len(subgroup_classes(group, max_order)) == count
+
+
+@pytest.mark.parametrize("group", [PermutationGroup(3, []), PermutationGroup(1, []), sym(1)])
+def test_the_trivial_group_has_one_class(group):
+    [(only, length)] = subgroup_classes(group)
+    assert (only.degree, only.generators, only.order(), length) == (group.degree, (), 1, 1)
+
+
+def test_subgroup_classes_budget_cap():
+    with pytest.raises(BudgetExceeded, match="low-index"):
+        subgroup_classes(sym(6))
+    with pytest.raises(BudgetExceeded):
+        subgroup_classes(sym(4), max_order=10)
