@@ -7,18 +7,18 @@ from symclass import (
     enumerate_subgroups,
     find_block_systems,
     induced_action,
-    is_primitive,
-    kernel_of_action,
     transitivity_degree_tests,
 )
+from symclass.classify import check_condition_3_1
 from symclass.families import alt, direct_product, octahedral, sym, wreath_grid
 
 # S2 x S4 on the 2 x 4 grid: the action induced on the two rows is the swap
 group = wreath_grid(4)
 rows = [set(range(4)), set(range(4, 8))]
 projection, _ = induced_action(group, rows)
-kernel = kernel_of_action(group, rows)
-print("row projection order:", projection.order(), "| kernel order:", kernel.order())
+# the kernel of that action is S4 on the columns, read off the grid condition
+print("row projection order:", projection.order(),
+      "| kernel order:", check_condition_3_1(group, 4).kernel_order)
 
 # transitivity degrees from orbit counts
 for name, g in [("S4", sym(4)), ("A4", alt(4)),
@@ -30,7 +30,7 @@ for name, g in [("S4", sym(4)), ("A4", alt(4)),
 # the octahedron group preserves the three antipodal pairs
 systems = find_block_systems(octahedral())
 print("octahedral block systems:", [s.blocks for s in systems])
-print("octahedral primitive?", is_primitive(octahedral()))
+print("octahedral primitive?", not systems)
 
 # the full subgroup lattice of S4 (exhaustive closure walk)
 subgroups = enumerate_subgroups(sym(4))

@@ -7,8 +7,6 @@ from .actions import (
     TransitivityDegrees,
     find_block_systems,
     induced_action,
-    is_primitive,
-    kernel_of_action,
     transitivity_degree_tests,
 )
 from .autgroup import IsomorphismResult, automorphism_group, canonical_form, is_isomorphic
@@ -68,8 +66,8 @@ __all__ = [
     "distance_partition", "edge_action", "encode_graph6",
     "enumerate_subgroups", "find_block_systems", "format_generator_file",
     "girth", "induced_action", "intersection_numbers", "is_2_geodesic_transitive",
-    "is_complete", "is_isomorphic", "is_primitive", "is_s_arc_transitive",
-    "is_s_distance_transitive", "kernel_of_action", "line_graph",
+    "is_complete", "is_isomorphic", "is_s_arc_transitive",
+    "is_s_distance_transitive", "line_graph",
     "neighborhood_action", "parse_generator_file", "standard_corpus",
     "transitivity_degree_tests", "verify_all_claims", "verify_claim",
 ]

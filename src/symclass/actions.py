@@ -1,4 +1,4 @@
-"""Derived group actions: induced/kernel actions on invariant cell families,
+"""Derived group actions: induced actions on invariant cell families,
 transitivity-degree flags, and minimal block systems."""
 
 from __future__ import annotations
@@ -57,29 +57,6 @@ def induced_action(group: PermutationGroup, cells):
             images.append(j)
         induced.append(Permutation(images))
     return PermutationGroup(len(cell_sets), induced), induced
-
-
-def kernel_of_action(group: PermutationGroup, cells) -> PermutationGroup:
-    """The subgroup inducing the identity permutation on cell indices.
-
-    Computed as the pointwise stabilizer of auxiliary cell points in the
-    action extended to ``points + cells``.
-    """
-    cell_sets = _normalize_cells(group, cells)
-    _, induced = induced_action(group, cell_sets)
-    n, k = group.degree, len(cell_sets)
-    extended = []
-    for g, ind in zip(group.generators, induced):
-        extended.append(Permutation(tuple(g.images) + tuple(n + j for j in ind.images)))
-    chain = StabilizerChain(n + k, extended, base_prefix=tuple(range(n, n + k)))
-    kernel_gens = []
-    seen = set()
-    for g in chain.strong_generators(chain.prefix_length):
-        restricted = Permutation(g.images[:n])
-        if not restricted.is_identity() and restricted not in seen:
-            seen.add(restricted)
-            kernel_gens.append(restricted)
-    return PermutationGroup(n, kernel_gens)
 
 
 class TransitivityDegrees(NamedTuple):
@@ -240,8 +217,3 @@ def find_block_systems(group: PermutationGroup) -> list[BlockSystem]:
         minimal.append(BlockSystem(tuple(sorted(blocks))))
     minimal.sort(key=lambda s: (s.block_size, s.blocks))
     return minimal
-
-
-def is_primitive(group: PermutationGroup) -> bool:
-    """Transitive with no proper nontrivial invariant partition."""
-    return group.is_transitive() and not find_block_systems(group)

@@ -237,9 +237,10 @@ class IsomorphismResult(NamedTuple):
         return self.isomorphic
 
 
-def _cheap_verdict(g1: Graph, g2: Graph) -> IsomorphismResult | None:
-    """The verdict when the cheap invariants decide it (vertex count, edge
-    count, degree sequence, or no vertices at all), else ``None``."""
+def is_isomorphic(g1: Graph, g2: Graph) -> IsomorphismResult:
+    """Canonical-form equality, with an edge-validated witness mapping. The
+    cheap invariants (vertex count, edge count, degree sequence) decide
+    first."""
     _check_cap(g1)
     _check_cap(g2)
     if g1.n != g2.n or g1.edge_count() != g2.edge_count():
@@ -248,12 +249,8 @@ def _cheap_verdict(g1: Graph, g2: Graph) -> IsomorphismResult | None:
         return IsomorphismResult(False)
     if g1.n == 0:
         return IsomorphismResult(True, ())
-    return None
-
-
-def _witness(g1: Graph, g2: Graph, form2) -> IsomorphismResult:
     c1, l1 = canonical_form(g1)
-    c2, l2 = form2
+    c2, l2 = canonical_form(g2)
     if c1 != c2:
         return IsomorphismResult(False)
     inverse2 = Permutation(l2).inverse()
@@ -265,20 +262,3 @@ def _witness(g1: Graph, g2: Graph, form2) -> IsomorphismResult:
     if sorted(mapping) != list(range(g1.n)):  # pragma: no cover
         raise InternalCheckFailed("isomorphism witness is not a bijection")
     return IsomorphismResult(True, mapping)
-
-
-def is_isomorphic(g1: Graph, g2: Graph) -> IsomorphismResult:
-    """Canonical-form equality, with an edge-validated witness mapping."""
-    settled = _cheap_verdict(g1, g2)
-    if settled is not None:
-        return settled
-    return _witness(g1, g2, canonical_form(g2))
-
-
-def is_isomorphic_given_form(g1: Graph, g2: Graph, form2) -> IsomorphismResult:
-    """``is_isomorphic(g1, g2)`` where ``form2`` is ``canonical_form(g2)``,
-    computed once by a caller that tests many graphs against ``g2``."""
-    settled = _cheap_verdict(g1, g2)
-    if settled is not None:
-        return settled
-    return _witness(g1, g2, form2)

@@ -26,8 +26,9 @@ from .classify import (
     TransitivityReport,
     _arc_transitivity,
     _distance_transitivity,
+    _grid_labelling,
+    _is_complete_bipartite,
     _match_grid_row,
-    _match_reference,
     _validate_pair,
     check_condition_3_1,
     classify_pair,
@@ -460,11 +461,11 @@ def _claim_l44(budget: Budget) -> ClaimVerdict:
                 continue
             if p.c2 == k:
                 instances["c2_equals_k"] += 1
-                if not _match_reference(p.graph, f"complete_bipartite({k},{k})"):
+                if not _is_complete_bipartite(p.graph, k):
                     failures.append(f"{p.name}: expected complete bipartite")
             elif p.c2 == k - 1:
                 instances["c2_equals_k_minus_1"] += 1
-                if not _match_reference(p.graph, f"grid_complement({k + 1})"):
+                if _grid_labelling(p.graph, k + 1) is None:
                     failures.append(f"{p.name}: expected grid complement")
     ok = not failures and all(v > 0 for v in instances.values())
     evidence = {**instances, "failures": failures}
@@ -511,10 +512,7 @@ def _claim_c12(budget: Budget) -> ClaimVerdict:
             continue
         prime_cases.append(p.name)
         pv = p.valency
-        # grid_complement(p + 1) has 2(p + 1) vertices; the count decides
-        # before a reference is built
-        if (p.graph.n == 2 * (pv + 1)
-                and _match_reference(p.graph, f"grid_complement({pv + 1})")):
+        if _grid_labelling(p.graph, pv + 1) is not None:
             continue
         if not (p.c2 is not None and (pv - 1) % p.c2 == 0 and 2 <= p.c2 <= (pv - 1) // 2):
             failures.append(f"{p.name}: c2={p.c2} violates the divisibility bound")

@@ -5,7 +5,7 @@ catalog rows."""
 from __future__ import annotations
 
 import math
-from functools import cache
+from itertools import combinations
 from typing import NamedTuple
 
 from .actions import (
@@ -14,7 +14,6 @@ from .actions import (
     induced_action,
     transitivity_degree_tests,
 )
-from .autgroup import canonical_form, is_isomorphic_given_form
 from .errors import (
     CompleteGraphError,
     DegreeMismatch,
@@ -25,19 +24,7 @@ from .errors import (
     NotAnAutomorphismGroup,
     ParameterError,
 )
-from .families import (
-    agl1,
-    alt,
-    complete_bipartite,
-    direct_product,
-    grid_complement,
-    hamming,
-    icosahedron,
-    octahedron,
-    preserves_graph,
-    psl25,
-    sym,
-)
+from .families import agl1, alt, direct_product, preserves_graph, psl25, sym
 from .graphs import (
     Graph,
     bfs_cycle_length,
@@ -300,73 +287,90 @@ ROW_GRID_COMPLEMENT_5 = "grid_complement(5)"
 ROW_ICOSAHEDRON = "icosahedron"
 ROW_GRID_COMPLEMENT_6 = "grid_complement(6)"
 
-# the constructors are looked up when a reference is first needed, so a test
-# that replaces one in this module sees every later build; besides the catalog
-# rows, the girth-4 claims compare against grid complements and complete
-# bipartite graphs of valency k = 3 .. 7 (the corpus valencies)
-_REFERENCE_FAMILIES = {
-    ROW_OCTAHEDRON: lambda: octahedron(),
-    ROW_HAMMING_2_3: lambda: hamming(2, 3),
-    ROW_ICOSAHEDRON: lambda: icosahedron(),
-    **{f"grid_complement({k + 1})": lambda k=k: grid_complement(k + 1) for k in range(3, 8)},
-    **{f"complete_bipartite({k},{k})": lambda k=k: complete_bipartite(k, k)
-       for k in range(3, 8)},
-}
+
+# -- structural recognisers: each decides "g is isomorphic to this family
+# graph" from local structure that fixes the graph up to isomorphism. Three
+# rows are fixed by their vertex count n, valency k and neighbourhoods, each
+# inducing a d-regular graph, as (n, k, d): the octahedron's complement is a
+# perfect matching; a locally 2K2 graph on 9 vertices is the line graph of a
+# triangle-free cubic graph on 6 vertices, K_{3,3}; the icosahedron is the one
+# locally pentagonal graph.
+_LOCAL_SHAPES = {ROW_OCTAHEDRON: (6, 4, 2), ROW_HAMMING_2_3: (9, 4, 1),
+                 ROW_ICOSAHEDRON: (12, 5, 2)}
 
 
-@cache
-def _reference(row: str) -> tuple:
-    """A reference family graph (a catalog row's, or one named by a girth-4
-    claim) and its canonical form. Built on first use, not at import, and
-    kept for the life of the process."""
-    graph = _REFERENCE_FAMILIES[row]().graph
-    return graph, canonical_form(graph)
+def _locally_regular(g: Graph, n: int, k: int, d: int) -> bool:
+    """n vertices, k-regular, and every neighbourhood induces a d-regular graph."""
+    return g.n == n and g.is_regular() and g.degree(0) == k and all(
+        sum(g.has_edge(w, x) for x in nbrs) == d for nbrs in g.adjacency for w in nbrs)
 
 
-def _match_reference(g: Graph, row: str):
-    graph, form = _reference(row)
-    return is_isomorphic_given_form(g, graph, form)
+def _bipartite(g: Graph) -> bool:
+    """No edge inside a distance layer from 0: the even and the odd layers are
+    the two parts (of the component of 0)."""
+    return not any(g.has_edge(u, w) for layer in distance_partition(g, 0).layers
+                   for u, w in combinations(layer, 2))
 
 
-def _transport(group: PermutationGroup, mapping: tuple) -> PermutationGroup:
-    return group.relabeled(Permutation(mapping))
+def _grid_labelling(g: Graph, m: int) -> tuple | None:
+    """The labelling of g onto ``grid_complement(m)`` (vertex r * m + c in row
+    r and column c), or ``None`` when g is not that graph. An (m - 1)-regular
+    bipartite graph on 2m vertices is K_{m,m} minus a perfect matching, whose
+    pairs are the columns: row 0 is the part holding 0, in ascending order,
+    and each vertex's column partner is its one non-neighbour in the other
+    part. The labelling is checked edge by edge."""
+    if not (_locally_regular(g, 2 * m, m - 1, 0) and _bipartite(g)):
+        return None
+    layers = distance_partition(g, 0).layers
+    row1 = [v for layer in layers[1::2] for v in layer]
+    labelling = [None] * g.n
+    for c, u in enumerate(sorted(v for layer in layers[0::2] for v in layer)):
+        labelling[u] = c
+        for w in row1:
+            if not g.has_edge(u, w):
+                labelling[w] = m + c
+    if set(labelling) != set(range(g.n)) or any(
+            labelling[u] // m == labelling[w] // m or labelling[u] % m == labelling[w] % m
+            for u, w in g.edges()):
+        raise InternalCheckFailed("the grid-complement labelling failed its edge check")
+    return tuple(labelling)
+
+
+def _is_complete_bipartite(g: Graph, k: int) -> bool:
+    """``K_{k,k}``: 2k vertices, k-regular and triangle-free. The
+    neighbourhoods of two adjacent vertices are then two disjoint independent
+    sets of k vertices, which make up the graph."""
+    return _locally_regular(g, 2 * k, k, 0)
 
 
 def _match_grid_row(g: Graph, group: PermutationGroup, m: int) -> str | None:
-    row = f"grid_complement({m})"
-    iso = _match_reference(g, row)
-    if not iso:
-        return None
-    if check_condition_3_1(_transport(group, iso.mapping), m).satisfied:
-        return row
+    labelling = _grid_labelling(g, m)
+    if labelling is not None and check_condition_3_1(
+            group.relabeled(Permutation(labelling)), m).satisfied:
+        return f"grid_complement({m})"
     return None
 
 
 def _match_octahedron(g: Graph, group: PermutationGroup) -> str | None:
-    iso = _match_reference(g, ROW_OCTAHEDRON)
-    # conjugation preserves the order, so the input group's cached chain answers
-    if not iso or group.order() not in (24, 48):
+    if not _locally_regular(g, *_LOCAL_SHAPES[ROW_OCTAHEDRON]) or group.order() not in (24, 48):
         return None
-    blocks = [{0, 3}, {1, 4}, {2, 5}]
-    projection, _ = induced_action(_transport(group, iso.mapping), blocks)
+    antipodal = [{v, w} for v in range(6) for w in range(v + 1, 6) if not g.has_edge(v, w)]
+    projection, _ = induced_action(group, antipodal)
     return ROW_OCTAHEDRON if projection.order() == 6 else None
 
 
 def _match_hamming23(g: Graph, group: PermutationGroup) -> str | None:
-    iso = _match_reference(g, ROW_HAMMING_2_3)
-    if not iso or group.order() not in (36, 72):
+    if not _locally_regular(g, *_LOCAL_SHAPES[ROW_HAMMING_2_3]) or group.order() not in (36, 72):
         return None
-    transported = _transport(group, iso.mapping)
-    # the six triangles split into the two parallel classes (rows / columns);
-    # the row condition asks for an element swapping the classes
-    rows = [frozenset({3 * i + j for j in range(3)}) for i in range(3)]
-    cols = [frozenset({j, j + 3, j + 6}) for j in range(3)]
-    for gen in transported.generators:
-        image = frozenset(gen.images[v] for v in rows[0])
-        if image in cols:
+    # the six triangles split into two parallel classes (the rows and the
+    # columns of the 3 x 3 grid); a triangle meets each triangle of the other
+    # class in one vertex and is disjoint from the rest of its own, and the
+    # row condition asks for an element swapping the classes
+    a = g.adjacency[0][0]
+    triangle = {0, a, *(w for w in g.adjacency[0] if g.has_edge(a, w))}
+    for gen in group.generators:
+        if len(triangle.intersection(gen.images[v] for v in triangle)) == 1:
             return ROW_HAMMING_2_3
-        if image not in rows:  # pragma: no cover - automorphisms permute triangles
-            raise InternalCheckFailed("triangle image is neither a row nor a column")
     return None
 
 
@@ -375,19 +379,14 @@ def _match_line_graph_row(second_layer_size: int, gt2: bool) -> str | None:
 
 
 def _match_icosahedron(g: Graph, group: PermutationGroup) -> str | None:
-    if not _match_reference(g, ROW_ICOSAHEDRON):
-        return None
-    return ROW_ICOSAHEDRON if group.order() in (60, 120) else None
+    shaped = _locally_regular(g, *_LOCAL_SHAPES[ROW_ICOSAHEDRON])
+    return ROW_ICOSAHEDRON if shaped and group.order() in (60, 120) else None
 
 
 def _match_table_row(g: Graph, group: PermutationGroup, valency: int, girth_value,
                      second_layer_size: int, gt2: bool) -> str | None:
-    if (valency, girth_value) == (3, 4):
-        return _match_grid_row(g, group, 4)
-    if (valency, girth_value) == (4, 4):
-        return _match_grid_row(g, group, 5)
-    if (valency, girth_value) == (5, 4):
-        return _match_grid_row(g, group, 6)
+    if girth_value == 4:
+        return _match_grid_row(g, group, valency + 1)
     if (valency, girth_value) == (4, 3):
         return (_match_octahedron(g, group)
                 or _match_hamming23(g, group)

@@ -45,12 +45,6 @@ class LabeledFamily:
         self.labels = labels
         self._group = group
 
-    def index_of(self, label) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise ParameterError(f"{self.name}: unknown label {label!r}") from None
-
     def symmetry_group(self) -> PermutationGroup:
         """The group the family was built with. Its order is checked by the
         first stabilizer chain built over its generators."""

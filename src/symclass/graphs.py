@@ -46,21 +46,6 @@ class Graph:
         self.adjacency = tuple(tuple(sorted(s)) for s in adj)
         self._partitions = {}
 
-    @classmethod
-    def from_adjacency(cls, adjacency) -> "Graph":
-        n = len(adjacency)
-        edges = []
-        for u, nbrs in enumerate(adjacency):
-            for v in nbrs:
-                if u < v:
-                    edges.append((u, v))
-                elif v == u:
-                    raise InvalidGraph(f"loop at vertex {u} is not allowed")
-        g = cls(n, edges)
-        if g.adjacency != tuple(tuple(sorted(nbrs)) for nbrs in adjacency):
-            raise InvalidGraph("adjacency is not symmetric")
-        return g
-
     def has_edge(self, u: int, v: int) -> bool:
         return v in self._adj_sets[u]
 

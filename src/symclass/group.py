@@ -308,11 +308,6 @@ class PermutationGroup:
         return PermutationGroup(
             self.degree, tuple(phi_inv * g * phi for g in self.generators))
 
-    def same_group(self, other: "PermutationGroup") -> bool:
-        if self.degree != other.degree or self.order() != other.order():
-            return False
-        return all(g in self for g in other.generators)
-
     def __repr__(self):
         return f"PermutationGroup(degree={self.degree}, generators={len(self.generators)})"
 

@@ -22,7 +22,6 @@ from symclass import (
     StabilizerChain,
     encode_graph6,
     induced_action,
-    kernel_of_action,
     transitivity_degree_tests,
 )
 from symclass.classify import ConditionCheck
@@ -273,6 +272,23 @@ def brute_geodesic_check(g: Graph, group: PermutationGroup) -> tuple:
     ok = orbit_size == len(geodesics)
     return (ok, None if ok else "multiple orbits on 2-geodesics",
             {"geodesic_count": len(geodesics), "orbit_size": orbit_size})
+
+
+def kernel_of_action(group: PermutationGroup, cells) -> PermutationGroup:
+    """The subgroup inducing the identity permutation on cell indices: the
+    pointwise stabilizer of auxiliary cell points in the action extended to
+    ``points + cells``."""
+    projection, induced = induced_action(group, cells)
+    n, k = group.degree, projection.degree
+    extended = [Permutation(tuple(g.images) + tuple(n + j for j in ind.images))
+                for g, ind in zip(group.generators, induced)]
+    chain = StabilizerChain(n + k, extended, base_prefix=tuple(range(n, n + k)))
+    kernel_gens = []
+    for g in chain.strong_generators(chain.prefix_length):
+        restricted = Permutation(g.images[:n])
+        if not restricted.is_identity() and restricted not in kernel_gens:
+            kernel_gens.append(restricted)
+    return PermutationGroup(n, kernel_gens)
 
 
 def reference_condition_3_1(group: PermutationGroup, m: int) -> ConditionCheck:

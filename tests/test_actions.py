@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import brute_tuple_orbits
+from conftest import brute_tuple_orbits, kernel_of_action
 
 from symclass import (
     PermutationGroup,
@@ -9,8 +9,6 @@ from symclass import (
     enumerate_subgroups,
     find_block_systems,
     induced_action,
-    is_primitive,
-    kernel_of_action,
     transitivity_degree_tests,
 )
 from symclass.actions import chain_transitivity
@@ -164,14 +162,14 @@ def test_octahedral_antipodal_blocks():
 def test_alt5_on_pairs_is_primitive_not_two_transitive():
     pairs_action = edge_action(alt(5), complete(5).graph)
     assert pairs_action.degree == 10
-    assert is_primitive(pairs_action)
+    assert not find_block_systems(pairs_action)
     flags = transitivity_degree_tests(pairs_action)
     assert not flags.two_transitive
 
 
 def test_prime_degree_cyclic_is_primitive():
     for p in (5, 7, 11):
-        assert is_primitive(cyclic(p))
+        assert not find_block_systems(cyclic(p))
 
 
 def test_block_systems_require_transitive():

@@ -32,7 +32,6 @@ from symclass import (
     is_s_distance_transitive,
     line_graph,
 )
-from symclass.autgroup import is_isomorphic_given_form
 from symclass.claims import _subgroup_flags, standard_corpus
 from symclass.classify import (
     ROW_GRID_COMPLEMENT_4,
@@ -412,45 +411,77 @@ def _catalog_rows():
     ]
 
 
-_FRESH_REFERENCES = {
-    ROW_GRID_COMPLEMENT_4: lambda: grid_complement(4),
-    ROW_OCTAHEDRON: octahedron,
-    ROW_HAMMING_2_3: lambda: hamming(2, 3),
-    ROW_GRID_COMPLEMENT_5: lambda: grid_complement(5),
-    ROW_ICOSAHEDRON: icosahedron,
-    ROW_GRID_COMPLEMENT_6: lambda: grid_complement(6),
-}
+def test_catalog_rows_match_with_the_automorphism_search_capped_below_15(monkeypatch):
+    # the rows are recognised by their structure, so L(Petersen) (15 vertices)
+    # reaches the line-graph row past a cap that every row graph exceeds
+    monkeypatch.setattr(autgroup_module, "SIZE_CAP", 5)
+    for row, graph, group in _catalog_rows():
+        assert classify_pair(graph, group).matched_row == row
+
+
+def _random_regular(rng: random.Random, n: int, k: int) -> Graph:
+    """A connected k-regular graph on n vertices, by the pairing model."""
+    while True:
+        points = [v for v in range(n) for _ in range(k)]
+        rng.shuffle(points)
+        pairs = {frozenset(p) for p in zip(points[::2], points[1::2])}
+        if len(pairs) == n * k // 2 and all(len(p) == 2 for p in pairs):
+            graph = Graph(n, [tuple(p) for p in pairs])
+            if graph.is_connected():
+                return graph
+
+
+def _recognisers() -> dict:
+    """Each structural recogniser with its family graph, by family name."""
+    out = {f"grid_complement({m})": (lambda g, m=m: classify_module._grid_labelling(g, m),
+                                     grid_complement(m).graph) for m in range(3, 9)}
+    out.update({f"complete_bipartite({k},{k})": (
+        lambda g, k=k: classify_module._is_complete_bipartite(g, k),
+        complete_bipartite(k, k).graph) for k in range(2, 9)})
+    for row, family in ((ROW_OCTAHEDRON, octahedron()), (ROW_HAMMING_2_3, hamming(2, 3)),
+                        (ROW_ICOSAHEDRON, icosahedron())):
+        out[row] = (lambda g, row=row: classify_module._locally_regular(
+            g, *classify_module._LOCAL_SHAPES[row]), family.graph)
+    return out
+
+
+def _wagner() -> Graph:
+    """3-regular and triangle-free on 8 vertices, like grid_complement(4), but
+    not bipartite."""
+    return Graph(8, [(i, (i + 1) % 8) for i in range(8)] + [(i, i + 4) for i in range(4)])
+
+
+def test_grid_labelling_is_checked_edge_by_edge(monkeypatch):
+    monkeypatch.setattr(classify_module, "_bipartite", lambda g: True)
+    with pytest.raises(InternalCheckFailed) as raised:
+        classify_module._grid_labelling(_wagner(), 4)
+    assert raised.value.code == "internal-check-failed"
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_cached_references_match_like_fresh_ones(seed):
-    for row, graph, group in _catalog_rows():
-        g, relabeled_group = _relabeled(graph, group, seed)
-        assert classify_pair(g, relabeled_group).matched_row == row
-        for ref_row, family in _FRESH_REFERENCES.items():
-            cached = is_isomorphic_given_form(g, *classify_module._reference(ref_row))
-            assert cached == is_isomorphic(g, family().graph)
-            assert bool(cached) == (ref_row == row)
-
-
-def test_reference_is_built_once_per_process(monkeypatch):
-    graph, group = _relabeled(grid_complement(5).graph,
-                              direct_product(sym(2), agl1(5)), seed=11)
-    assert classify_pair(graph, group).matched_row == ROW_GRID_COMPLEMENT_5
-    built = []
-    monkeypatch.setattr(classify_module, "grid_complement", lambda m: built.append(m))
-    canonical = []
-    real_canonical_form = autgroup_module.canonical_form
-
-    def recording(g):
-        canonical.append(g)
-        return real_canonical_form(g)
-
-    monkeypatch.setattr(classify_module, "canonical_form", recording)
-    monkeypatch.setattr(autgroup_module, "canonical_form", recording)
-    assert classify_pair(graph, group).matched_row == ROW_GRID_COMPLEMENT_5
-    assert built == []
-    assert len(canonical) == 1 and canonical[0] is graph
+def test_recognisers_agree_with_is_isomorphic(seed):
+    rng = random.Random(seed)
+    # the 3-prism is 3-regular on 6 vertices, like K_{3,3}
+    prism = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)])
+    graphs = [_wagner(), prism]
+    for pair in standard_corpus():
+        graphs += [pair.graph, _relabeled(pair.graph, pair.group, seed)[0]]
+    graphs += [_random_regular(rng, n, k) for n in range(6, 17) for k in (3, 4, 5)
+               if n * k % 2 == 0]
+    recognisers = _recognisers()
+    recognised = set()
+    for graph in graphs:
+        for name, (recognise, family) in recognisers.items():
+            verdict = recognise(graph)
+            expected = graph.n == family.n and bool(is_isomorphic(graph, family))
+            assert bool(verdict) == expected, name
+            if expected:
+                recognised.add(name)
+            if isinstance(verdict, tuple):
+                assert graph.relabel(Permutation(verdict)) == family
+    assert recognised == {*(f"grid_complement({m})" for m in range(3, 7)),
+                          *(f"complete_bipartite({k},{k})" for k in range(2, 6)),
+                          ROW_OCTAHEDRON, ROW_HAMMING_2_3, ROW_ICOSAHEDRON}
 
 
 def test_classify_pair_builds_one_chain_on_the_input_group(chain_builds):

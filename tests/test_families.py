@@ -67,14 +67,14 @@ def test_octahedron_shape():
 def test_grid_labels():
     fam = grid(2, 4)
     assert fam.labels[0] == (1, 1)
-    assert fam.index_of((2, 3)) == 6  # (i-1)*m + (j-1)
+    assert fam.labels.index((2, 3)) == 6  # (i-1)*m + (j-1)
 
 
 def test_hamming_labels_are_big_endian():
     fam = hamming(2, 3)
     assert fam.labels[0] == (1, 1)
-    assert fam.index_of((1, 2)) == 1
-    assert fam.index_of((2, 1)) == 3
+    assert fam.labels.index((1, 2)) == 1
+    assert fam.labels.index((2, 1)) == 3
 
 
 def test_petersen_labels():

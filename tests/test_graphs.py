@@ -56,11 +56,6 @@ def test_graph_validation():
     assert g.adjacency == ((1,), (0, 2), (1,))
 
 
-def test_from_adjacency_requires_symmetry():
-    with pytest.raises(InvalidGraph):
-        Graph.from_adjacency([(1,), ()])
-
-
 def test_distance_partition_sizes():
     assert [len(l) for l in distance_partition(complete(4).graph, 2).layers] == [1, 3]
     assert [len(l) for l in distance_partition(grid_complement(4).graph, 0).layers] == [1, 3, 3, 1]

@@ -177,7 +177,7 @@ def test_point_stabilizer_of_0_in_a_group_fixing_0():
     group = PermutationGroup(4, [Permutation.from_cycles(4, [(1, 2, 3)]),
                                  Permutation.from_cycles(4, [(1, 2)])])
     stab = group.point_stabilizer(0)
-    assert stab.same_group(group)
+    assert stab.elements() == group.elements()
     assert stab.order() == group.order() == 6
 
 
@@ -218,7 +218,7 @@ def test_relabeled_group_is_conjugate():
     assert conjugated.order() == group.order()
     # conjugation by a group element fixes the group
     inner = group.relabeled(group.generators[0])
-    assert inner.same_group(group)
+    assert inner.elements() == group.elements()
 
 
 def test_generator_file_round_trip():
@@ -227,7 +227,7 @@ def test_generator_file_round_trip():
     parsed = parse_generator_file(text)
     assert parsed.degree == 6
     assert parsed.order() == 48
-    assert parsed.same_group(group)
+    assert parsed.elements() == group.elements()
 
 
 def test_generator_file_flip_and_pair_cycle():

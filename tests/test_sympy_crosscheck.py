@@ -8,7 +8,7 @@ sympy_comb = pytest.importorskip("sympy.combinatorics")
 from sympy.combinatorics import Permutation as SymPerm
 from sympy.combinatorics import PermutationGroup as SymGroup
 
-from symclass import is_primitive, transitivity_degree_tests
+from symclass import find_block_systems, transitivity_degree_tests
 from symclass.families import (
     agl1,
     alt,
@@ -54,4 +54,4 @@ def test_transitivity_and_primitivity_agree(group):
     other = to_sympy(group)
     flags = transitivity_degree_tests(group)
     assert flags.transitive == other.is_transitive()
-    assert is_primitive(group) == other.is_primitive()
+    assert (not find_block_systems(group)) == other.is_primitive()
