@@ -8,6 +8,7 @@ import pytest
 from conftest import python_stdout
 
 import symclass.autgroup as autgroup_module
+import symclass.classify as classify_module
 import symclass.graphs as graphs_module
 import symclass.subgroups as subgroups_module
 from symclass import (
@@ -209,6 +210,25 @@ def test_claims_and_catalog_rows_compute_no_canonical_form(monkeypatch):
         graph, group = pairs[name].graph, pairs[name].group
         phi = Permutation(random.Random(7).sample(range(graph.n), graph.n))
         assert classify_pair(graph.relabel(phi), group.relabeled(phi)).matched_row == row
+
+
+def test_girth4_claims_build_and_canonicalize_no_reference(monkeypatch):
+    claims = ("L4.4", "T1.1", "C1.2")
+    # the first run warms the corpus
+    assert all(verify_claim(claim).status == "verified" for claim in claims)
+    built = []
+    for module in (families, classify_module):
+        for name, obj in vars(module).items():
+            if inspect.isfunction(obj) and obj.__module__ == families.__name__:
+                monkeypatch.setattr(module, name,
+                                    lambda *args, _name=name: built.append(_name))
+
+    def refuse(g):
+        raise AssertionError("canonical_form called")
+
+    monkeypatch.setattr(autgroup_module, "canonical_form", refuse)
+    assert all(verify_claim(claim).status == "verified" for claim in claims)
+    assert built == []
 
 
 @pytest.mark.parametrize("build", [

@@ -13,6 +13,7 @@ from conftest import (
 
 import symclass.autgroup as autgroup_module
 import symclass.classify as classify_module
+import symclass.families as families_module
 import symclass.group as group_module
 from symclass import (
     PermutationGroup,
@@ -482,6 +483,23 @@ def test_recognisers_agree_with_is_isomorphic(seed):
     assert recognised == {*(f"grid_complement({m})" for m in range(3, 7)),
                           *(f"complete_bipartite({k},{k})" for k in range(2, 6)),
                           ROW_OCTAHEDRON, ROW_HAMMING_2_3, ROW_ICOSAHEDRON}
+
+
+def test_reference_is_built_once_per_process(monkeypatch):
+    graph, group = _relabeled(grid_complement(5).graph,
+                              direct_product(sym(2), agl1(5)), seed=11)
+    built = []
+    monkeypatch.setattr(families_module, "grid_complement", lambda m: built.append(m))
+
+    def refuse(g):
+        raise AssertionError("canonical_form called")
+
+    monkeypatch.setattr(autgroup_module, "canonical_form", refuse)
+    # the row is recognised by structure: no reference graph is built or
+    # canonicalised, on the first call or any later one
+    for _ in range(2):
+        assert classify_pair(graph, group).matched_row == ROW_GRID_COMPLEMENT_5
+    assert built == []
 
 
 def test_classify_pair_builds_one_chain_on_the_input_group(chain_builds):
