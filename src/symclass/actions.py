@@ -76,23 +76,23 @@ class TransitivityDegrees(NamedTuple):
     three_transitive: bool
 
 
-def _count_orbits(gens, items, act) -> int:
+def _count_orbits(gens, items, act) -> list[int]:
+    """The size of each orbit that ``items`` meets, in the order first met."""
     seen = set()
-    count = 0
+    sizes = []
     for item in items:
         if item in seen:
             continue
-        count += 1
         seen.add(item)
-        queue = deque([item])
-        while queue:
-            current = queue.popleft()
+        orbit = [item]
+        for current in orbit:  # breadth-first: the list grows as it is read
             for g in gens:
                 image = act(g, current)
                 if image not in seen:
                     seen.add(image)
-                    queue.append(image)
-    return count
+                    orbit.append(image)
+        sizes.append(len(orbit))
+    return sizes
 
 
 def chain_transitivity(chain: StabilizerChain) -> tuple[bool, bool]:
@@ -120,10 +120,10 @@ def transitivity_degree_tests(group: PermutationGroup) -> TransitivityDegrees:
     gens = group.generators
     point_orbits = len(group.orbits())
     pair_act = lambda g, t: (g.images[t[0]], g.images[t[1]])
-    ordered_pairs = _count_orbits(gens, permutations(range(n), 2), pair_act)
-    unordered = _count_orbits(
+    ordered_pairs = len(_count_orbits(gens, permutations(range(n), 2), pair_act))
+    unordered = len(_count_orbits(
         gens, combinations(range(n), 2),
-        lambda g, t: tuple(sorted((g.images[t[0]], g.images[t[1]]))))
+        lambda g, t: tuple(sorted((g.images[t[0]], g.images[t[1]])))))
     two_transitive = ordered_pairs == 1
     return TransitivityDegrees(
         point_orbits=point_orbits,

@@ -5,15 +5,10 @@ catalog rows."""
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import NamedTuple
 
-from .actions import (
-    TransitivityDegrees,
-    chain_transitivity,
-    induced_action,
-    transitivity_degree_tests,
-)
+from .actions import _count_orbits, chain_transitivity, induced_action
 from .errors import (
     CompleteGraphError,
     DegreeMismatch,
@@ -108,18 +103,17 @@ def _distance_transitivity(g: Graph, group: PermutationGroup, s: int) -> Transit
          "layer_sizes": {i: len(dp.layers[i]) for i in range(1, s + 1)}})
 
 
-def _tuple_orbit_size(group: PermutationGroup, start: tuple) -> int:
-    """The size of the orbit of a tuple of points, by orbit-stabilizer along
-    it: |x0^G| * |x1^(G_x0)| * |x2^(G_x0,x1)| * ... A point that occurred
-    before is fixed by the stabilizer so far and contributes a factor of 1.
-    For a tuple starting at 0 the first stabilizer is read off the group's
-    own chain, and every orbit is read off a kept partition."""
-    points = list(dict.fromkeys(start))
-    size = 1
-    for x in points[:-1]:
-        size *= len(group.orbit(x))
-        group = group.point_stabilizer(x)
-    return size * len(group.orbit(points[-1]))
+def _orbits_at_0(group: PermutationGroup, tuples) -> list[int]:
+    """The sizes of the ``G_0`` orbits that ``tuples`` meet, walked with the
+    generators of the kept ``G_0`` and no further chain. The orbit of an
+    s-arc from 0 visits at most min(|G_0|, k(k - 1)^(s - 1)) tuples."""
+    return _count_orbits(group.point_stabilizer(0).generators, tuples,
+                         lambda p, t: tuple(p.images[x] for x in t))
+
+
+def _neighbor_pair_orbits(g: Graph, group: PermutationGroup) -> int:
+    """The number of ``G_0`` orbits on ordered pairs of distinct neighbours of 0."""
+    return len(_orbits_at_0(group, permutations(g.adjacency[0], 2)))
 
 
 def _first_arc(g: Graph, s: int) -> tuple:
@@ -148,32 +142,36 @@ def is_s_arc_transitive(g: Graph, group: PermutationGroup, s: int) -> Transitivi
 
 
 def _arc_transitivity(g: Graph, group: PermutationGroup, s: int
-                      ) -> tuple[TransitivityCheck, TransitivityDegrees | None]:
-    """The s-arc verdict, and for s = 2 the transitivity flags of the
-    neighborhood action at vertex 0 (``None`` when they were not needed:
-    the group is intransitive or the valency is below 2)."""
+                      ) -> tuple[TransitivityCheck, int | None]:
+    """The s-arc verdict, and for s = 2 the number of ``G_0`` orbits on
+    ordered pairs of distinct neighbours of 0 (``None`` when it was not
+    needed: the group is intransitive or the valency is below 2)."""
     if s < 1:
         raise ParameterError("s must be at least 1")
     if not group.is_transitive():
         return TransitivityCheck(False, "not vertex-transitive", {}), None
     # a vertex-transitive automorphism group makes the graph regular, so
-    # every vertex starts k * (k - 1)^(s - 1) s-arcs
+    # every vertex starts k * (k - 1)^(s - 1) s-arcs, and the orbit of an
+    # s-arc (0, x1, ..., xs) is n times the G_0 orbit of (x1, ..., xs)
     k = g.degree(0)
     arc_count = g.n * k * (k - 1) ** (s - 1)
     if not arc_count:
         return TransitivityCheck(False, f"the graph has no {s}-arcs", {}), None
-    orbit_size = _tuple_orbit_size(group, _first_arc(g, s))
+    orbit_size = g.n * _orbits_at_0(group, [_first_arc(g, s)[1:]])[0]
     ok = orbit_size == arc_count
     evidence = {"arc_count": arc_count, "orbit_size": orbit_size}
-    flags = None
+    pair_orbits = None
     if s == 2:  # k >= 2 here, or there would be no 2-arcs
-        flags = transitivity_degree_tests(neighborhood_action(g, group, 0))
-        evidence["stabilizer_two_transitive_on_neighbors"] = flags.two_transitive
-        if flags.two_transitive != ok:
+        # G is transitive on 2-arcs exactly when G_0 is 2-transitive on the
+        # neighbours of 0: a walk over another set, which must agree
+        pair_orbits = _neighbor_pair_orbits(g, group)
+        two_transitive = pair_orbits == 1
+        evidence["stabilizer_two_transitive_on_neighbors"] = two_transitive
+        if two_transitive != ok:
             raise InternalCheckFailed(
                 "2-arc criteria disagree: one orbit on 2-arcs is "
-                f"{ok}, stabilizer 2-transitive on the neighbors is {flags.two_transitive}")
-    return TransitivityCheck(ok, None if ok else "multiple orbits on arcs", evidence), flags
+                f"{ok}, stabilizer 2-transitive on the neighbors is {two_transitive}")
+    return TransitivityCheck(ok, None if ok else "multiple orbits on arcs", evidence), pair_orbits
 
 
 def is_2_geodesic_transitive(g: Graph, group: PermutationGroup) -> TransitivityCheck:
@@ -194,7 +192,7 @@ def _geodesic_transitivity(g: Graph, group: PermutationGroup,
     from_zero = [(0, a, c) for a in g.adjacency[0] for c in g.adjacency[a]
                  if c != 0 and not g.has_edge(0, c)]
     geodesic_count = g.n * len(from_zero)
-    orbit_size = _tuple_orbit_size(group, from_zero[0])
+    orbit_size = g.n * _orbits_at_0(group, [from_zero[0][1:]])[0]
     ok = orbit_size == geodesic_count
     return TransitivityCheck(
         ok, None if ok else "multiple orbits on 2-geodesics",
@@ -452,7 +450,7 @@ def classify_pair(g: Graph, group: PermutationGroup) -> TransitivityReport:
     complete_graph = is_complete(g)
     dt = {s: _distance_transitivity(g, group, s) for s in (1, 2)}
     at1, _ = _arc_transitivity(g, group, 1)
-    at2, neighbor_flags = _arc_transitivity(g, group, 2)
+    at2, pair_orbits = _arc_transitivity(g, group, 2)
     at = {1: at1, 2: at2}
     gt2 = None if complete_graph else bool(_geodesic_transitivity(g, group, at1))
     inter = intersection_numbers(g, 0)
@@ -465,9 +463,9 @@ def classify_pair(g: Graph, group: PermutationGroup) -> TransitivityReport:
         if dp.layer(2):
             neighborhood["orbits_on_second_layer"] = counts[2]
         if valency >= 2:
-            # the 2-arc check computed the neighborhood action's flags exactly
-            # when the group is vertex-transitive and the valency is at least 2
-            neighborhood["orbits_on_ordered_neighbor_pairs"] = neighbor_flags.ordered_pair_orbits
+            # the 2-arc check counted the neighbour-pair orbits exactly when
+            # the group is vertex-transitive and the valency is at least 2
+            neighborhood["orbits_on_ordered_neighbor_pairs"] = pair_orbits
 
     girth5_applicable = girth_value >= 5 and bool(dt[2])
     girth3_applicable = girth_value == 3 and not complete_graph

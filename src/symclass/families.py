@@ -7,7 +7,9 @@ stabilizer chain built over its generators (the one ``order()`` reads, or a
 stabilizer's) is checked against it, so a caller that only needs the graph
 never pays for Schreier-Sims. The graph families of known shape check
 valency, girth and diameter from vertex 0 at construction. A failed check
-raises :class:`InternalCheckFailed`, under ``python -O`` as well.
+raises :class:`InternalCheckFailed`, under ``python -O`` as well. A graph
+family refuses parameters that give more than ``EDGE_CAP`` edges with
+:class:`SizeCapExceeded`, before anything is built.
 """
 
 from __future__ import annotations
@@ -16,11 +18,21 @@ import math
 import re
 from itertools import combinations
 
-from .errors import InternalCheckFailed, ParameterError, UnknownFamily
-from .graphs import Graph, bfs_cycle_length, complement, distance_partition
+from .errors import InternalCheckFailed, ParameterError, SizeCapExceeded, UnknownFamily
+from .graphs import Graph, bfs_cycle_length, distance_partition
 from .group import PermutationGroup
 from .numtheory import is_prime, smallest_primitive_root
 from .perm import Permutation
+
+
+EDGE_CAP = 1 << 20
+
+
+def _cap_edges(name: str, edges: int) -> None:
+    """Refuse a graph family of more than ``EDGE_CAP`` edges, counted from
+    its parameters."""
+    if edges > EDGE_CAP:
+        raise SizeCapExceeded(f"{name} has more than {EDGE_CAP} edges (the family cap)")
 
 
 def preserves_graph(p: Permutation, g: Graph) -> bool:
@@ -60,6 +72,13 @@ def _checked(group: PermutationGroup, order: int) -> PermutationGroup:
     if group._chain is not None:
         group._check_order(group._chain.order())
     return group
+
+
+def _recorded_order(group: PermutationGroup) -> int:
+    """The order ``group`` was built to have, else its chain's. A product of
+    recorded orders builds no chain over the factors: the product's own first
+    chain checks it."""
+    return group.order() if group._expected_order is None else group._expected_order
 
 
 def _checked_shape(fam: LabeledFamily, valency: int, girth: int,
@@ -174,7 +193,7 @@ def direct_product(a: PermutationGroup, b: PermutationGroup) -> PermutationGroup
         gens.append(Permutation(tuple(g.images[x // db] * db + x % db for x in range(n))))
     for h in b.generators:
         gens.append(Permutation(tuple((x // db) * db + h.images[x % db] for x in range(n))))
-    return _checked(PermutationGroup(n, gens), a.order() * b.order())
+    return _checked(PermutationGroup(n, gens), _recorded_order(a) * _recorded_order(b))
 
 
 def wreath_grid(m: int) -> PermutationGroup:
@@ -216,7 +235,8 @@ def _product_action(symbols: PermutationGroup, coords: PermutationGroup) -> Perm
 
     gens = [digit_map(s.images, tuple(range(d))) for s in symbols.generators]
     gens += [digit_map(tuple(range(q)), h.images) for h in coords.generators]
-    return _checked(PermutationGroup(q ** d, gens), symbols.order() ** d * coords.order())
+    return _checked(PermutationGroup(q ** d, gens),
+                    _recorded_order(symbols) ** d * _recorded_order(coords))
 
 
 def wreath_hamming(h: PermutationGroup, d: int) -> PermutationGroup:
@@ -288,12 +308,12 @@ def grid(n: int, m: int) -> LabeledFamily:
     """The n x m rook's graph on labels (i, j), 1-indexed."""
     if n < 2 or m < 2:
         raise ParameterError("grid needs n, m >= 2")
+    _cap_edges(f"grid({n},{m})", n * m * (n + m - 2) // 2)
     labels = tuple((i + 1, j + 1) for i in range(n) for j in range(m))
     edges = []
     for a in range(n * m):
-        for b in range(a + 1, n * m):
-            if a // m == b // m or a % m == b % m:
-                edges.append((a, b))
+        edges += [(a, b) for b in range(a + 1, a - a % m + m)]  # the rest of a's row
+        edges += [(a, b) for b in range(a + m, n * m, m)]  # the rest of a's column
     graph = Graph(n * m, edges)
     group = direct_product(sym(n), sym(m)) if n != m else _square_grid_group(n)
     return LabeledFamily(f"grid({n},{m})", graph, labels, group)
@@ -311,9 +331,12 @@ def grid_complement(m: int) -> LabeledFamily:
     the grid's S2 x Sm (the generators of ``wreath_grid(m)``)."""
     if m < 3:
         raise ParameterError("grid_complement needs m >= 3")
-    base = grid(2, m)
-    fam = LabeledFamily(f"grid_complement({m})", complement(base.graph), base.labels,
-                        base.symmetry_group())
+    _cap_edges(f"grid_complement({m})", m * (m - 1))
+    # row 0 is 0..m-1, row 1 is m..2m-1; a vertex is adjacent to the other
+    # row outside its own column
+    labels = tuple((i + 1, j + 1) for i in range(2) for j in range(m))
+    edges = [(a, m + b) for a in range(m) for b in range(m) if a != b]
+    fam = LabeledFamily(f"grid_complement({m})", Graph(2 * m, edges), labels, wreath_grid(m))
     return _checked_shape(fam, m - 1, 4 if m >= 4 else 6, 3)
 
 
@@ -321,6 +344,10 @@ def hamming(d: int, q: int) -> LabeledFamily:
     """H(d, q): q-ary d-tuples adjacent when they differ in one coordinate."""
     if d < 2 or q < 2:
         raise ParameterError("hamming needs d, q >= 2")
+    # q >= 2, so q ** EDGE_CAP.bit_length() is past the cap already: q ** d is
+    # never evaluated for a huge d
+    _cap_edges(f"hamming({d},{q})",
+               q ** min(d, EDGE_CAP.bit_length()) * d * (q - 1) // 2)
     n = q ** d
     weights = [q ** (d - 1 - i) for i in range(d)]
     labels = []
@@ -340,6 +367,7 @@ def hamming(d: int, q: int) -> LabeledFamily:
 def complete(n: int) -> LabeledFamily:
     if n < 1:
         raise ParameterError("complete needs n >= 1")
+    _cap_edges(f"complete({n})", n * (n - 1) // 2)
     graph = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
     return LabeledFamily(f"complete({n})", graph, tuple(range(1, n + 1)), sym(n))
 
@@ -347,6 +375,7 @@ def complete(n: int) -> LabeledFamily:
 def complete_bipartite(m: int, n: int) -> LabeledFamily:
     if m < 1 or n < 1:
         raise ParameterError("complete_bipartite needs m, n >= 1")
+    _cap_edges(f"complete_bipartite({m},{n})", m * n)
     labels = tuple((1, i + 1) for i in range(m)) + tuple((2, j + 1) for j in range(n))
     graph = Graph(m + n, [(i, m + j) for i in range(m) for j in range(n)])
     group = wreath_bipartite(m) if m == n and m >= 2 else _bipartite_product(m, n)
@@ -367,6 +396,7 @@ def _bipartite_product(m: int, n: int) -> PermutationGroup:
 def cycle(n: int) -> LabeledFamily:
     if n < 3:
         raise ParameterError("cycle needs n >= 3")
+    _cap_edges(f"cycle({n})", n)
     graph = Graph(n, [(i, (i + 1) % n) for i in range(n)])
     fam = LabeledFamily(f"cycle({n})", graph, tuple(range(1, n + 1)), dihedral(n))
     return _checked_shape(fam, 2, n, n // 2)

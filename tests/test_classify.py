@@ -11,6 +11,7 @@ from conftest import (
     walk_layer_orbit_counts,
 )
 
+import symclass.actions as actions_module
 import symclass.autgroup as autgroup_module
 import symclass.classify as classify_module
 import symclass.families as families_module
@@ -162,7 +163,7 @@ def _oracle_pairs() -> list:
 
 
 def test_arc_and_geodesic_verdicts_match_the_tuple_orbit_oracle():
-    pairs = _oracle_pairs()
+    pairs = _oracle_pairs() + [(hamming(9, 2).graph, hamming_full(9, 2))]
     verdicts = set()
     for graph, group in pairs:
         for s in (1, 2, 3):
@@ -173,7 +174,7 @@ def test_arc_and_geodesic_verdicts_match_the_tuple_orbit_oracle():
             check = is_2_geodesic_transitive(graph, group)
             assert (check.ok, check.reason, check.evidence) == brute_geodesic_check(graph, group)
             verdicts.add(("geodesic", check.ok))
-    assert len(pairs) == 652
+    assert len(pairs) == 653
     assert len(verdicts) == 8  # both verdicts occur for every kind
 
 
@@ -275,13 +276,17 @@ def test_grid_lattice_decisions_build_no_chain_on_intransitive_subgroups(chain_b
 
 
 def test_condition_3_1_reads_the_kernel_flags_off_its_chain(monkeypatch):
-    def no_pair_walk(group):
+    def no_pair_walk(gens, items, act):
         raise AssertionError("the grid condition walked the column pairs")
 
-    monkeypatch.setattr(classify_module, "transitivity_degree_tests", no_pair_walk)
-    for m in (4, 5):
-        for sub in enumerate_subgroups(wreath_grid(m)):
-            assert check_condition_3_1(sub, m) == reference_condition_3_1(sub, m)
+    # the reference walks pairs: decide it before the walk is refused
+    cases = [(sub, m, reference_condition_3_1(sub, m))
+             for m in (4, 5) for sub in enumerate_subgroups(wreath_grid(m))]
+    # the one tuple-orbit walk, under both names it is bound to
+    monkeypatch.setattr(actions_module, "_count_orbits", no_pair_walk)
+    monkeypatch.setattr(classify_module, "_count_orbits", no_pair_walk)
+    for sub, m, reference in cases:
+        assert check_condition_3_1(sub, m) == reference
 
 
 def test_kantor_conditions():
@@ -514,19 +519,21 @@ def test_classify_pair_builds_one_chain_on_the_input_group(chain_builds):
 
 
 def test_two_arc_cross_check_raises_a_coded_error(monkeypatch):
-    real = classify_module.transitivity_degree_tests
+    real = classify_module._neighbor_pair_orbits
 
-    def wrong_flag(group):
-        flags = real(group)
-        return flags._replace(two_transitive=not flags.two_transitive)
+    def wrong_count(g, group):
+        # one orbit where there are several, and two where there is one
+        return 2 if real(g, group) == 1 else 1
 
-    monkeypatch.setattr(classify_module, "transitivity_degree_tests", wrong_flag)
-    graph, group = octahedron().graph, octahedral()
-    with pytest.raises(InternalCheckFailed, match="2-arc criteria disagree") as info:
-        is_s_arc_transitive(graph, group, 2)
-    assert info.value.code == "internal-check-failed"
-    with pytest.raises(InternalCheckFailed):
-        classify_pair(graph, group)
+    monkeypatch.setattr(classify_module, "_neighbor_pair_orbits", wrong_count)
+    for graph, group in ((octahedron().graph, octahedral()),
+                         (petersen().graph, petersen_sym5())):
+        with pytest.raises(InternalCheckFailed, match="2-arc criteria disagree") as info:
+            is_s_arc_transitive(graph, group, 2)
+        assert info.value.code == "internal-check-failed"
+        with pytest.raises(InternalCheckFailed) as info:
+            classify_pair(graph, group)
+        assert info.value.code == "internal-check-failed"
 
 
 def test_classify_pair_builds_no_chain_twice(chain_builds):
@@ -535,9 +542,33 @@ def test_classify_pair_builds_no_chain_twice(chain_builds):
     graph = hamming(3, 2).graph
     chain_builds.clear()
     classify_pair(graph, group)
-    # G, G_0 and G_{0,a}: the stabilizer for the 2-arc and the 2-geodesic
-    # tuple is the one kept by G_0
-    assert len(chain_builds) == len(set(chain_builds)) == 3
+    # G only: the arc, 2-geodesic and neighbour-pair orbits are walked with
+    # the generators of G_0, which are read off G's chain
+    assert chain_builds == [group.generators]
+
+
+def test_classify_pair_builds_one_chain_per_corpus_pair(chain_builds):
+    for pair in standard_corpus():
+        group = PermutationGroup(pair.group.degree, pair.group.generators)
+        chain_builds.clear()
+        row = classify_pair(pair.graph, group).matched_row
+        # plus one where a row matcher builds its own: the grid condition's
+        # column kernel, or the octahedron's projection onto its antipodes
+        matcher_chains = int(row is not None and (row.startswith("grid_complement")
+                                                  or row == ROW_OCTAHEDRON))
+        assert chain_builds[0] == group.generators, pair.name
+        assert len(chain_builds) == 1 + matcher_chains, pair.name
+        assert group.generators not in chain_builds[1:], pair.name
+
+
+def test_classify_pair_on_a_built_chain_builds_none(chain_builds):
+    graph, group = hamming(9, 2).graph, hamming_full(9, 2)
+    group.order()
+    chain_builds.clear()
+    report = classify_pair(graph, group)
+    assert chain_builds == []
+    assert report.arc_transitive == {1: True, 2: True}
+    assert report.neighborhood["orbits_on_ordered_neighbor_pairs"] == 1
 
 
 def _fresh_copy(graph: Graph) -> Graph:

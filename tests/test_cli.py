@@ -77,6 +77,41 @@ def test_construct_with_group_checks_the_group_order(capsys, monkeypatch):
         "message": "group of degree 6 has order 48, expected 47"}
 
 
+# family parameters past the edge cap: each ended in a MemoryError traceback
+# or ran past 20 s before the cap
+_OVERSIZED = (("hamming", "3", "200"), ("complete", "100000"),
+              ("complete_bipartite", "100000", "100000"), ("cycle", "999999999999999999999"),
+              ("hamming", "999999999999", "2"), ("grid", "3000", "3000"))
+
+
+@pytest.mark.parametrize("params", _OVERSIZED, ids=" ".join)
+def test_oversized_family_exits_on_the_edge_cap_before_building(capsys, monkeypatch, params):
+    def refuse(*args):
+        raise AssertionError("a graph or group was built")
+
+    monkeypatch.setattr(families, "Graph", refuse)
+    monkeypatch.setattr(families, "PermutationGroup", refuse)
+    code, out, err = run_cli(capsys, "construct", *params)
+    assert (code, out) == (1, "")
+    error = json.loads(err)["error"]
+    assert error["code"] == "size-cap-exceeded"
+    assert error["message"].endswith(f"has more than {2 ** 20} edges (the family cap)")
+
+
+def test_oversized_families_exit_the_same_under_python_O():
+    script = f"""
+import contextlib, io
+from symclass.cli import main
+for params in {_OVERSIZED!r}:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        print(main(["construct", *params]), err.getvalue().strip())
+"""
+    plain = python_stdout("-c", script)
+    assert plain == python_stdout("-O", "-c", script)
+    assert plain.count('1 {"error": {"code": "size-cap-exceeded"') == len(_OVERSIZED)
+
+
 def test_classify_icosahedron_alt5(capsys):
     code, out, _ = run_cli(capsys, "classify", "--family", "icosahedron",
                            "--group", "alt5")

@@ -12,7 +12,12 @@ from symclass import (
     transitivity_degree_tests,
 )
 from symclass.classify import condition_3_1_examples
-from symclass.errors import InternalCheckFailed, ParameterError, UnknownFamily
+from symclass.errors import (
+    InternalCheckFailed,
+    ParameterError,
+    SizeCapExceeded,
+    UnknownFamily,
+)
 from symclass.families import (
     agl1,
     alt,
@@ -230,6 +235,49 @@ def test_parameter_validation():
         complete(0)
 
 
+@pytest.mark.parametrize("name, params", [
+    ("grid", (2, 2)), ("grid", (3, 5)), ("grid_complement", (3,)), ("grid_complement", (6,)),
+    ("hamming", (2, 2)), ("hamming", (5, 2)), ("hamming", (3, 4)), ("complete", (1,)),
+    ("complete", (7,)), ("complete_bipartite", (1, 4)), ("complete_bipartite", (4, 3)),
+    ("cycle", (3,)), ("cycle", (10,)),
+])
+def test_edge_cap_counts_each_family_exactly(monkeypatch, name, params):
+    edges = len(build_graph(name, *params).graph.edges())
+    monkeypatch.setattr(families, "EDGE_CAP", edges)
+    assert len(build_graph(name, *params).graph.edges()) == edges
+    monkeypatch.setattr(families, "EDGE_CAP", edges - 1)
+    with pytest.raises(SizeCapExceeded, match="the family cap") as info:
+        build_graph(name, *params)
+    assert info.value.code == "size-cap-exceeded"
+
+
+class _Admitted(Exception):
+    pass
+
+
+def test_edge_cap_admits_each_family_up_to_its_largest_size(monkeypatch):
+    real = families._cap_edges
+
+    def admit(name, edges):
+        real(name, edges)
+        raise _Admitted(name)  # stop before the graph is built
+
+    monkeypatch.setattr(families, "_cap_edges", admit)
+    assert families.EDGE_CAP == 2 ** 20
+    for name, largest, refused in (
+            ("grid", (101, 101), (102, 102)),
+            ("grid_complement", (1024,), (1025,)),
+            ("hamming", (16, 2), (17, 2)),
+            ("hamming", (2, 101), (2, 102)),
+            ("complete", (1448,), (1449,)),
+            ("complete_bipartite", (1024, 1024), (1024, 1025)),
+            ("cycle", (2 ** 20,), (2 ** 20 + 1,))):
+        with pytest.raises(_Admitted):
+            build_graph(name, *largest)
+        with pytest.raises(SizeCapExceeded):
+            build_graph(name, *refused)
+
+
 def test_product_actions_match_the_digit_map_reference():
     for d in range(2, 5):
         for q in range(2, 5):
@@ -312,8 +360,8 @@ def test_checks_still_run_under_python_O():
 def test_family_keeps_the_group_it_built_and_checked(chain_builds):
     fam = grid_complement(5)
     group = fam.symmetry_group()
-    # grid(2, 5) built S2 x S5 and the complement keeps it; its order is
-    # checked by the first chain over its generators, not at construction
+    # the family keeps the S2 x S5 it was built with; its order is checked
+    # by the first chain over its generators, not at construction
     assert group is fam.symmetry_group()
     assert group.generators not in chain_builds
     assert group.order() == 240
@@ -332,7 +380,7 @@ def test_family_keeps_the_group_it_built_and_checked(chain_builds):
 def test_building_a_family_builds_no_chain_over_its_group(factory, order, chain_builds):
     fam = factory()
     group = fam.symmetry_group()
-    assert group.generators not in chain_builds
-    chain_builds.clear()
+    # nor over the factors of a product: their recorded orders multiply
+    assert chain_builds == []
     assert group.order() == order
     assert chain_builds == [group.generators]
