@@ -392,9 +392,10 @@ def _claim_l41(budget: Budget) -> ClaimVerdict:
     for name, graph in girth4_graph_corpus():
         for u in range(graph.n):
             k = graph.degree(u)
-            c2 = intersection_numbers(graph, u).c(2)
+            # the identity is local: layers 0-2 from u, not the whole graph
+            inter = intersection_numbers(graph, u, depth=2)
             checked += 1
-            if c2 is None or k * (k - 1) != c2 * len(distance_partition(graph, u).layer(2)):
+            if inter.c(2) is None or k * (k - 1) != inter.c(2) * inter.sizes[2]:
                 failures.append(f"{name} at vertex {u}")
     evidence = {"graphs": len(girth4_graph_corpus()),
                 "vertices_checked": checked, "failures": failures}
@@ -405,7 +406,7 @@ def _psi_is_bijection(graph: Graph, u: int, k: int) -> bool:
     """Each second-layer vertex meets the neighborhood in a distinct 2-subset,
     and the count matches k choose 2."""
     nbrs = set(graph.adjacency[u])
-    layer2 = distance_partition(graph, u).layer(2)
+    layer2 = distance_partition(graph, u, depth=2).layer(2)
     images = set()
     for w in layer2:
         meet = frozenset(nbrs & set(graph.adjacency[w]))

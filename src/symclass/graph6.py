@@ -3,15 +3,23 @@
 A graph is one line of printable ASCII: N(n) encodes the vertex count, then
 the upper triangle of the adjacency matrix in column order, packed six bits
 per byte, every byte offset by 63. This implementation caps n at 258047
-(one- and four-byte size headers).
+(one- and four-byte size headers), and the encoder refuses a body of more
+than ``BODY_CAP`` bytes before packing any bit.
 """
 
 from __future__ import annotations
 
-from .errors import Graph6Error
+import base64
+
+from .errors import Graph6Error, SizeCapExceeded
 from .graphs import Graph
 
 _MAX_N = 258047
+BODY_CAP = 1 << 24
+# base64 packs six bits per byte too; map its digits to graph6's 63 + value
+_BASE64_TO_GRAPH6 = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/",
+    bytes(range(63, 127)))
 
 
 def _encode_size(n: int) -> str:
@@ -23,19 +31,22 @@ def _encode_size(n: int) -> str:
 def encode_graph6(g: Graph) -> str:
     if g.n > _MAX_N:
         raise Graph6Error(f"vertex count {g.n} exceeds the supported cap {_MAX_N}")
-    bits = []
-    for j in range(1, g.n):
-        for i in range(j):
-            bits.append(1 if g.has_edge(i, j) else 0)
-    chars = []
-    for pos in range(0, len(bits), 6):
-        chunk = bits[pos:pos + 6]
-        chunk += [0] * (6 - len(chunk))
-        value = 0
-        for bit in chunk:
-            value = (value << 1) | bit
-        chars.append(chr(value + 63))
-    return _encode_size(g.n) + "".join(chars)
+    nbits = g.n * (g.n - 1) // 2
+    size = (nbits + 5) // 6
+    if size > BODY_CAP:
+        raise SizeCapExceeded(
+            f"graph6 body of {g.n} vertices is {size} bytes, above the cap {BODY_CAP}")
+    # edge (i, j), i < j, is bit j(j-1)/2 + i; whole 3-byte groups, so base64
+    # adds no padding and the zero bits past nbits are graph6's own padding
+    bits = bytearray(3 * ((nbits + 23) // 24))
+    for j, nbrs in enumerate(g.adjacency):
+        for i in nbrs:
+            if i >= j:
+                break
+            pos = j * (j - 1) // 2 + i
+            bits[pos >> 3] |= 128 >> (pos & 7)
+    body = base64.b64encode(bits)[:size].translate(_BASE64_TO_GRAPH6)
+    return _encode_size(g.n) + body.decode("ascii")
 
 
 def decode_graph6(text: str) -> Graph:

@@ -25,10 +25,11 @@ from .perm import Permutation
 
 
 class Graph:
-    """Adjacency-list graph; neighbor lists are kept sorted ascending, and the
-    distance partition from a vertex is kept once some query has asked for it."""
+    """Adjacency-list graph; neighbor lists are kept sorted ascending. The
+    full distance partition from a vertex is kept once some query has asked
+    for it (a depth-bounded one never is), and so is the valency."""
 
-    __slots__ = ("n", "adjacency", "_adj_sets", "_partitions")
+    __slots__ = ("n", "adjacency", "_adj_sets", "_partitions", "_valency")
 
     def __init__(self, n: int, edges=()):
         if n < 0:
@@ -45,6 +46,7 @@ class Graph:
         self._adj_sets = tuple(frozenset(s) for s in adj)
         self.adjacency = tuple(tuple(sorted(s)) for s in adj)
         self._partitions = {}
+        self._valency = None
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self._adj_sets[u]
@@ -59,11 +61,13 @@ class Graph:
         return self.n == 0 or len(set(self.degrees())) == 1
 
     def valency(self) -> int:
-        if self.n == 0:
-            raise InvalidGraph("empty graph has no valency")
-        if not self.is_regular():
-            raise IrregularGraph(f"degrees {sorted(set(self.degrees()))} are not constant")
-        return self.degree(0)
+        if self._valency is None:
+            if self.n == 0:
+                raise InvalidGraph("empty graph has no valency")
+            if not self.is_regular():
+                raise IrregularGraph(f"degrees {sorted(set(self.degrees()))} are not constant")
+            self._valency = self.degree(0)
+        return self._valency
 
     def edges(self) -> list[tuple]:
         return [(u, v) for u in range(self.n) for v in self.adjacency[u] if u < v]
@@ -91,14 +95,18 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.edge_count()})"
 
 
-def _bfs_layers(g: Graph, *sources: int) -> list[list[int]]:
-    """The vertices at distance 0, 1, 2, ... from ``sources``, one ascending
-    list per distance; vertices no source reaches are in no layer."""
+def _bfs_layers(g: Graph, *sources: int, depth=None) -> list[list[int]]:
+    """The vertices at distance 0, 1, 2, ... (up to ``depth`` when given)
+    from ``sources``, one ascending list per distance; vertices no source
+    reaches are in no layer."""
     seen = set(sources)
     layer = sorted(seen)
     layers = []
+    last = math.inf if depth is None else depth
     while layer:
         layers.append(layer)
+        if len(layers) > last:
+            break
         nxt = []
         for u in layer:
             for v in g.adjacency[u]:
@@ -111,7 +119,8 @@ def _bfs_layers(g: Graph, *sources: int) -> list[list[int]]:
 
 
 class DistancePartition(NamedTuple):
-    """BFS layers from a base vertex, covering its connected component."""
+    """BFS layers from a base vertex, covering its connected component, or
+    only layers 0 to ``depth`` when the partition was asked for a depth."""
 
     base: int
     layers: tuple
@@ -124,15 +133,21 @@ class DistancePartition(NamedTuple):
         return self.layers[i] if i < len(self.layers) else ()
 
 
-def distance_partition(g: Graph, u: int) -> DistancePartition:
+def distance_partition(g: Graph, u: int, depth=None) -> DistancePartition:
     """The distance partition from ``u``, layered on first use and kept by
-    ``g`` (the tuples are immutable, so every caller shares them)."""
+    ``g`` (the tuples are immutable, so every caller shares them). With a
+    ``depth``, layers 0 to ``depth`` only: sliced from a kept partition, or
+    walked to that depth and not kept."""
     if not 0 <= u < g.n:
         raise ParameterError(f"vertex {u} out of range")
+    if depth is not None and depth < 0:
+        raise ParameterError(f"depth {depth} is negative")
     dp = g._partitions.get(u)
-    if dp is None:
-        dp = g._partitions[u] = DistancePartition(
-            u, tuple(tuple(layer) for layer in _bfs_layers(g, u)))
+    if dp is not None:
+        return dp if depth is None else DistancePartition(u, dp.layers[:depth + 1])
+    if depth is not None:
+        return DistancePartition(u, tuple(map(tuple, _bfs_layers(g, u, depth=depth))))
+    dp = g._partitions[u] = DistancePartition(u, tuple(map(tuple, _bfs_layers(g, u))))
     return dp
 
 
@@ -181,7 +196,7 @@ def is_complete(g: Graph) -> bool:
 
 
 class IntersectionNumbers(NamedTuple):
-    """Per-layer (c_i, a_i, b_i) triples from a base vertex.
+    """Per-layer (c_i, a_i, b_i) triples and layer sizes k_i from a base vertex.
 
     A layer's triple is present only when the three counts agree for every
     vertex of the layer (``well_defined``); otherwise the entry is ``None``.
@@ -189,7 +204,11 @@ class IntersectionNumbers(NamedTuple):
 
     base: int
     triples: tuple
-    well_defined: tuple
+    sizes: tuple
+
+    @property
+    def well_defined(self) -> tuple:
+        return tuple(t is not None for t in self.triples)
 
     @property
     def layer_regular(self) -> bool:
@@ -200,43 +219,27 @@ class IntersectionNumbers(NamedTuple):
         return None if t is None else t[0]
 
 
-def intersection_numbers(g: Graph, u: int) -> IntersectionNumbers:
+def intersection_numbers(g: Graph, u: int, depth=None) -> IntersectionNumbers:
     """Edge counts from each vertex of layer i into layers i-1, i, i+1, for a
-    non-empty, connected, regular graph."""
+    non-empty, connected, regular graph; with a ``depth``, for layers 0 to
+    ``depth`` only, read off a walk that stops there."""
     if g.n == 0:
         raise InvalidGraph("empty graph")
-    dp = distance_partition(g, u)
+    dp = distance_partition(g, u, depth)
     if not g.is_connected():
         raise DisconnectedGraph("intersection numbers need a connected graph")
-    g.valency()  # raises IrregularGraph when degrees differ
-    layer_of = {}
-    for i, layer in enumerate(dp.layers):
-        for v in layer:
-            layer_of[v] = i
+    k = g.valency()  # raises IrregularGraph when degrees differ
+    # every neighbour of a layer-i vertex lies in layer i-1, i or i+1 (the
+    # one past the walked layers included), so b_i = k - c_i - a_i
     triples = []
-    flags = []
-    for i, layer in enumerate(dp.layers):
-        counts = set()
-        for v in layer:
-            c = a = b = 0
-            for w in g.adjacency[v]:
-                j = layer_of[w]
-                if j == i - 1:
-                    c += 1
-                elif j == i:
-                    a += 1
-                elif j == i + 1:
-                    b += 1
-                else:  # pragma: no cover - BFS layers cannot differ by >= 2
-                    raise InvalidGraph("edge joins layers at distance >= 2")
-            counts.add((c, a, b))
-        if len(counts) == 1:
-            triples.append(counts.pop())
-            flags.append(True)
-        else:
-            triples.append(None)
-            flags.append(False)
-    return IntersectionNumbers(dp.base, tuple(triples), tuple(flags))
+    below = frozenset()
+    for layer in dp.layers:
+        here = frozenset(layer)
+        counts = {(len(g._adj_sets[v] & below), len(g._adj_sets[v] & here)) for v in layer}
+        below = here
+        c, a = counts.pop() if len(counts) == 1 else (None, None)
+        triples.append(None if c is None else (c, a, k - c - a))
+    return IntersectionNumbers(dp.base, tuple(triples), tuple(map(len, dp.layers)))
 
 
 def line_graph(g: Graph):

@@ -45,14 +45,15 @@ def chain_builds(monkeypatch) -> list:
 
 @pytest.fixture
 def layerings(monkeypatch) -> list:
-    """``(graph, sources)`` for every ``graphs._bfs_layers`` walk during the
-    test (the automorphism search imports its own reference and is not seen)."""
+    """``(graph, sources, depth)`` for every ``graphs._bfs_layers`` walk during
+    the test, ``depth`` None for a full one (the automorphism search imports
+    its own reference and is not seen)."""
     walked = []
     original = graphs_module._bfs_layers
 
-    def recording(g, *sources):
-        walked.append((g, sources))
-        return original(g, *sources)
+    def recording(g, *sources, depth=None):
+        walked.append((g, sources, depth))
+        return original(g, *sources, depth=depth)
 
     monkeypatch.setattr(graphs_module, "_bfs_layers", recording)
     return walked
@@ -427,6 +428,32 @@ def _reference_distances_from_set(g: Graph, sources: list) -> list:
                 dist[w] = dist[u] + 1
                 queue.append(w)
     return dist
+
+
+def brute_intersection_numbers(g: Graph, u: int) -> tuple:
+    """``(triples, sizes)`` from ``u`` of a connected graph, counted edge by
+    edge over the reference distances: a layer's (c, a, b) when every vertex
+    of it agrees, else None, and the layer sizes."""
+    dist = _reference_distances_from_set(g, [u])
+    layers = [[v for v in range(g.n) if dist[v] == i] for i in range(max(dist) + 1)]
+    triples = []
+    for i, layer in enumerate(layers):
+        counts = {tuple(sum(dist[w] == j for w in g.adjacency[v]) for j in (i - 1, i, i + 1))
+                  for v in layer}
+        triples.append(counts.pop() if len(counts) == 1 else None)
+    return tuple(triples), tuple(map(len, layers))
+
+
+def random_connected_regular(rng, n: int, k: int) -> Graph:
+    """A connected k-regular graph on n vertices, by the pairing model."""
+    while True:
+        points = [v for v in range(n) for _ in range(k)]
+        rng.shuffle(points)
+        pairs = {frozenset(p) for p in zip(points[::2], points[1::2])}
+        if len(pairs) == n * k // 2 and all(len(p) == 2 for p in pairs):
+            graph = Graph(n, [tuple(p) for p in pairs])
+            if graph.is_connected():
+                return graph
 
 
 def _reference_base_colors(g1: Graph, g2: Graph):

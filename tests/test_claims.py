@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import python_stdout
+from conftest import _reference_distances_from_set, python_stdout
 
 import symclass.autgroup as autgroup_module
 import symclass.classify as classify_module
@@ -33,7 +33,9 @@ from symclass import families
 from symclass.claims import (
     CATALOG_ROWS,
     NEAR_MISSES,
+    _psi_is_bijection,
     corpus_profiles,
+    girth4_graph_corpus,
     standard_corpus,
 )
 from symclass.errors import UnknownClaim
@@ -150,6 +152,51 @@ def test_girth4_identity_claim():
     assert verdict.status == "verified"
     assert verdict.evidence["graphs"] == 13
     assert verdict.evidence["failures"] == []
+
+
+def _brute_psi_is_bijection(graph: Graph, u: int) -> bool:
+    """Every 2-subset of the neighbourhood has exactly one common neighbour at
+    distance 2 from ``u``, and every vertex at distance 2 sees exactly two
+    neighbours of ``u``: the map w -> Γ(w) ∩ Γ(u) is a bijection onto the
+    2-subsets, read off the whole graph's distances."""
+    dist = _reference_distances_from_set(graph, [u])
+    second = [w for w in range(graph.n) if dist[w] == 2]
+    nbrs = graph.adjacency[u]
+    return (all(sum(graph.has_edge(w, x) for x in nbrs) == 2 for w in second)
+            and all(sum(graph.has_edge(w, a) and graph.has_edge(w, b) for w in second) == 1
+                    for i, a in enumerate(nbrs) for b in nbrs[i + 1:]))
+
+
+def test_psi_bijection_matches_the_2_subset_oracle():
+    graphs = [families.hamming(d, 2).graph for d in range(3, 8)]
+    # and graphs where it fails: c2 = 3, c2 = 4, c2 = 1 and c2 = 2 with girth 3
+    graphs += [families.complete_bipartite(3, 3).graph, families.grid_complement(6).graph,
+               families.petersen().graph, families.hamming(2, 3).graph]
+    verdicts = set()
+    for g in graphs:
+        for u in range(g.n):
+            verdict = _psi_is_bijection(g, u, g.degree(u))
+            assert verdict == _brute_psi_is_bijection(g, u), (g, u)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_claim_suite_layers_each_graph_in_full_from_0_only(layerings):
+    # L4.1 and L4.2 read each vertex's 2-ball (layers 0-2), not the whole
+    # graph; the full layerings left are the ones from 0 that connectivity and
+    # the family shape checks keep, and no graph keeps any other partition
+    for cached in (girth4_graph_corpus, standard_corpus, corpus_profiles):
+        cached.cache_clear()
+    layerings.clear()
+    assert all(v.status == "verified" for v in verify_all_claims())
+    # 13 full walks from 0 as the girth-4 graphs are built and checked, 26 for
+    # the other claims; 322 + 141 2-balls for L4.1 and L4.2 (L4.1 slices the
+    # kept partition from 0 of the 10 graphs the family checks layered)
+    assert sum(depth is None for _, _, depth in layerings) == 39
+    assert {sources for _, sources, depth in layerings if depth is None} == {(0,)}
+    assert sum(depth == 2 for _, _, depth in layerings) == 463 == len(layerings) - 39
+    graphs = [g for _, g in girth4_graph_corpus()] + [p.graph for p in standard_corpus()]
+    assert all(list(g._partitions) == [0] for g in graphs)
 
 
 def test_c2_equals_2_claim():

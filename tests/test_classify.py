@@ -7,6 +7,7 @@ from conftest import (
     brute_geodesic_check,
     brute_is_2dt,
     brute_order,
+    random_connected_regular,
     reference_condition_3_1,
     walk_layer_orbit_counts,
 )
@@ -425,18 +426,6 @@ def test_catalog_rows_match_with_the_automorphism_search_capped_below_15(monkeyp
         assert classify_pair(graph, group).matched_row == row
 
 
-def _random_regular(rng: random.Random, n: int, k: int) -> Graph:
-    """A connected k-regular graph on n vertices, by the pairing model."""
-    while True:
-        points = [v for v in range(n) for _ in range(k)]
-        rng.shuffle(points)
-        pairs = {frozenset(p) for p in zip(points[::2], points[1::2])}
-        if len(pairs) == n * k // 2 and all(len(p) == 2 for p in pairs):
-            graph = Graph(n, [tuple(p) for p in pairs])
-            if graph.is_connected():
-                return graph
-
-
 def _recognisers() -> dict:
     """Each structural recogniser with its family graph, by family name."""
     out = {f"grid_complement({m})": (lambda g, m=m: classify_module._grid_labelling(g, m),
@@ -472,7 +461,7 @@ def test_recognisers_agree_with_is_isomorphic(seed):
     graphs = [_wagner(), prism]
     for pair in standard_corpus():
         graphs += [pair.graph, _relabeled(pair.graph, pair.group, seed)[0]]
-    graphs += [_random_regular(rng, n, k) for n in range(6, 17) for k in (3, 4, 5)
+    graphs += [random_connected_regular(rng, n, k) for n in range(6, 17) for k in (3, 4, 5)
                if n * k % 2 == 0]
     recognisers = _recognisers()
     recognised = set()
@@ -583,7 +572,7 @@ def test_vertex_transitive_pair_is_layered_once_from_0(layerings):
     for _ in range(2):
         report = classify_pair(graph, group)
         assert (report.girth, report.diameter) == (4, 3)
-    assert [(g is graph, sources) for g, sources in layerings] == [(True, (0,))]
+    assert [(g is graph, *walk) for g, *walk in layerings] == [(True, (0,), None)]
 
 
 def test_validation_layering_is_the_one_every_verdict_reads(layerings):
@@ -597,7 +586,7 @@ def test_validation_layering_is_the_one_every_verdict_reads(layerings):
                    lambda: is_2_geodesic_transitive(graph, group),
                    lambda: _subgroup_flags(graph, group, [group])):
         decide()
-        assert [(g is graph, sources) for g, sources in layerings] == [(True, (0,))]
+        assert [(g is graph, *walk) for g, *walk in layerings] == [(True, (0,), None)]
 
 
 def test_public_deciders_over_a_lattice_layer_the_graph_once(layerings):
@@ -607,7 +596,7 @@ def test_public_deciders_over_a_lattice_layer_the_graph_once(layerings):
     flags = [(bool(is_s_distance_transitive(graph, sub, 2)),
               bool(is_s_arc_transitive(graph, sub, 2))) for sub in subgroups]
     assert flags == _subgroup_flags(graph, octahedral(), subgroups)
-    assert [(g is graph, sources) for g, sources in layerings] == [(True, (0,))]
+    assert [(g is graph, *walk) for g, *walk in layerings] == [(True, (0,), None)]
 
 
 def test_intransitive_pair_keeps_the_girth_and_diameter_of_the_whole_graph():
@@ -668,4 +657,4 @@ def test_layer_orbit_counts_match_the_layer_walk(layerings):
             expected = [walk_layer_orbit_counts(stab, layer) for layer in dp.layers]
             assert classify_module._layer_orbit_counts(graph, group) == expected, pair.name
         # every group's counts read the one partition the graph keeps
-        assert [(g is graph, sources) for g, sources in layerings] == [(True, (0,))], pair.name
+        assert [(g is graph, *walk) for g, *walk in layerings] == [(True, (0,), None)], pair.name

@@ -112,6 +112,18 @@ for params in {_OVERSIZED!r}:
     assert plain.count('1 {"error": {"code": "size-cap-exceeded"') == len(_OVERSIZED)
 
 
+@pytest.mark.parametrize("fmt", ("graph6", "json"))
+def test_graph6_body_past_its_cap_exits_with_the_code(capsys, fmt):
+    # C_20000 is far under the edge cap, but its graph6 body is 33 MB
+    code, out, err = run_cli(capsys, "construct", "cycle", "20000", "--format", fmt)
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == {
+        "code": "size-cap-exceeded",
+        "message": "graph6 body of 20000 vertices is 33331667 bytes, above the cap 16777216"}
+    code, out, _ = run_cli(capsys, "construct", "cycle", "20000", "--format", "edges")
+    assert code == 0 and out.count("\n") == 20001
+
+
 def test_classify_icosahedron_alt5(capsys):
     code, out, _ = run_cli(capsys, "classify", "--family", "icosahedron",
                            "--group", "alt5")

@@ -1,7 +1,11 @@
+import random
+import tracemalloc
+
 import pytest
 
+import symclass.graph6 as graph6_module
 from symclass import Graph, decode_graph6, decode_graph6_lines, encode_graph6
-from symclass.errors import Graph6Error
+from symclass.errors import Graph6Error, SizeCapExceeded
 from symclass.families import (
     complete,
     cycle,
@@ -43,6 +47,47 @@ def test_size_header_boundary():
 
 
 def test_size_cap():
+    with pytest.raises(Graph6Error):
+        encode_graph6(Graph(258048))
+
+
+def _listed_bits_encoding(g: Graph) -> str:
+    """graph6 from the full list of upper-triangle bits, six to a byte."""
+    bits = [int(g.has_edge(i, j)) for j in range(1, g.n) for i in range(j)]
+    bits += [0] * (-len(bits) % 6)
+    body = "".join(chr(63 + int("".join(map(str, bits[p:p + 6])), 2))
+                   for p in range(0, len(bits), 6))
+    return graph6_module._encode_size(g.n) + body
+
+
+def test_encoding_matches_the_listed_bits():
+    rng = random.Random(7)
+    for n in list(range(12)) + [62, 63, 64, 100] + [rng.randrange(13, 90) for _ in range(40)]:
+        p = rng.choice((0.0, 0.1, 0.5, 1.0))
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        code = encode_graph6(g)
+        assert code == _listed_bits_encoding(g)
+        assert decode_graph6(code) == g
+    h = hamming(7, 2).graph
+    assert encode_graph6(h) == _listed_bits_encoding(h)
+
+
+def test_body_cap_is_checked_before_any_bit_is_packed(monkeypatch):
+    big = Graph(20000)  # 33 MB of graph6 body, 25 MB of packed bits
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapExceeded, match="above the cap"):
+            encode_graph6(big)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    # the cap is on body bytes: 11 vertices need 10 (55 bits), 12 need 11
+    monkeypatch.setattr(graph6_module, "BODY_CAP", 10)
+    assert decode_graph6(encode_graph6(complete(11).graph)) == complete(11).graph
+    with pytest.raises(SizeCapExceeded):
+        encode_graph6(complete(12).graph)
+    # the format's own vertex cap is checked first
     with pytest.raises(Graph6Error):
         encode_graph6(Graph(258048))
 

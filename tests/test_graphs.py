@@ -6,7 +6,9 @@ import pytest
 from conftest import (
     _reference_distances_from_set,
     brute_girth,
+    brute_intersection_numbers,
     enumerate_s_arcs,
+    random_connected_regular,
     reference_bfs_cycle_length,
 )
 
@@ -43,6 +45,7 @@ from symclass.families import (
     petersen,
     sym,
 )
+from symclass.claims import girth4_graph_corpus, standard_corpus
 from symclass.graphs import _bfs_layers, bfs_cycle_length
 
 
@@ -199,9 +202,9 @@ def test_graph_queries_layer_each_vertex_once(layerings):
         assert diameter(cube) == 3
         assert classify_pair(hexagon, reflection).diameter == diameter(hexagon) == 3
         intersection_numbers(hexagon, 4)
-    walked = [(id(g), sources) for g, sources in layerings]
-    assert walked == ([(id(cube), (u,)) for u in range(8)]
-                      + [(id(hexagon), (u,)) for u in range(6)])
+    walked = [(id(g), *walk) for g, *walk in layerings]
+    assert walked == ([(id(cube), (u,), None) for u in range(8)]
+                      + [(id(hexagon), (u,), None) for u in range(6)])
 
 
 def test_distance_partitions_are_kept_by_each_graph_object(layerings):
@@ -218,8 +221,8 @@ def test_distance_partitions_are_kept_by_each_graph_object(layerings):
     moved = g.relabel(phi)
     assert distance_partition(moved, phi.images[0]).layers == tuple(
         tuple(sorted(phi.images[v] for v in layer)) for layer in first.layers)
-    assert [(id(h), sources) for h, sources in layerings] == [
-        (id(g), (0,)), (id(twin), (0,)), (id(moved), (phi.images[0],))]
+    assert [(id(h), *walk) for h, *walk in layerings] == [
+        (id(g), (0,), None), (id(twin), (0,), None), (id(moved), (phi.images[0],), None)]
 
 
 def test_an_out_of_range_vertex_stores_no_partition(layerings):
@@ -237,6 +240,92 @@ def test_an_out_of_range_vertex_stores_no_partition(layerings):
         intersection_numbers(Graph(4, [(0, 1), (1, 2)]), 4)
     with pytest.raises(DisconnectedGraph):
         intersection_numbers(Graph(4, [(0, 1), (1, 2)]), 0)
+
+
+def _assert_2_balls_match_the_full_layering(g: Graph):
+    # ``g`` keeps every full partition it is asked for; ``fresh`` is asked
+    # for 2-balls only, so each of them but vertex 0's is walked to depth 2
+    fresh = Graph(g.n, g.edges())
+    for u in range(g.n):
+        triples, sizes = brute_intersection_numbers(g, u)
+        ball = intersection_numbers(fresh, u, depth=2)
+        full = intersection_numbers(g, u)
+        assert (full.triples, full.sizes) == (triples, sizes), u
+        assert ball == (u, triples[:3], sizes[:3]), u
+        ball_layers = distance_partition(g, u).layers[:3]
+        assert distance_partition(fresh, u, depth=2).layers == ball_layers, u
+        # a kept partition is sliced, not walked again
+        assert distance_partition(g, u, depth=2).layers == ball_layers, u
+    assert list(fresh._partitions) == [0]
+    assert sorted(g._partitions) == list(range(g.n))
+
+
+def test_2_balls_equal_the_full_layering_on_the_claim_graphs():
+    graphs = [g for _, g in girth4_graph_corpus()] + [p.graph for p in standard_corpus()]
+    for g in {id(g): g for g in graphs}.values():
+        _assert_2_balls_match_the_full_layering(Graph(g.n, g.edges()))
+
+
+def test_2_balls_equal_the_full_layering_on_random_regular_graphs():
+    rng = random.Random(25)
+    undefined = 0
+    for _ in range(40):
+        k = rng.choice((3, 4))
+        n = rng.randrange(6, 31)
+        n += (n * k) % 2
+        g = random_connected_regular(rng, n, k)
+        _assert_2_balls_match_the_full_layering(g)
+        undefined += sum(t is None for u in range(n) for t in intersection_numbers(g, u).triples)
+    # the sample reaches layers whose vertices disagree, so a None is checked too
+    assert undefined > 0
+
+
+def test_a_walk_to_a_depth_stops_there_and_is_not_kept(layerings):
+    g = Graph(8, hamming(3, 2).graph.edges())
+    layerings.clear()
+    assert distance_partition(g, 3, depth=1).layers == ((3,), (1, 2, 7))
+    assert distance_partition(g, 3, depth=0).layers == ((3,),)
+    # a depth past the eccentricity gives the whole partition, still not kept
+    assert distance_partition(g, 3, depth=9) == distance_partition(g, 3)
+    assert [(h is g, *walk) for h, *walk in layerings] == [
+        (True, (3,), 1), (True, (3,), 0), (True, (3,), 9), (True, (3,), None)]
+    assert _bfs_layers(g, 0, 7, depth=1) == [[0, 7], [1, 2, 3, 4, 5, 6]]
+    assert _bfs_layers(g, 0, 7, depth=0) == [[0, 7]]
+
+
+def test_2_ball_queries_check_regularity_once_per_graph(monkeypatch):
+    g = Graph(32, hamming(5, 2).graph.edges())
+    asked = []
+    real = Graph.degrees
+
+    def counting(self):
+        asked.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Graph, "degrees", counting)
+    for u in range(g.n):
+        assert intersection_numbers(g, u, depth=2).c(2) == 2
+    assert asked == [g] and g.valency() == 5 and asked == [g]
+    assert list(g._partitions) == [0]
+
+
+def test_2_ball_queries_keep_the_error_order(layerings):
+    # InvalidGraph, then ParameterError, then DisconnectedGraph, then
+    # IrregularGraph; nothing out of range is walked or kept
+    with pytest.raises(InvalidGraph):
+        intersection_numbers(Graph(0), 0, depth=2)
+    split = Graph(4, [(0, 1), (1, 2)])  # disconnected and irregular
+    layerings.clear()
+    for u, depth in ((-1, 2), (4, 2), (0, -1)):
+        with pytest.raises(ParameterError):
+            distance_partition(split, u, depth=depth)
+        with pytest.raises(ParameterError):
+            intersection_numbers(split, u, depth=depth)
+    assert split._partitions == {} and layerings == []
+    with pytest.raises(DisconnectedGraph):
+        intersection_numbers(split, 3, depth=2)
+    with pytest.raises(IrregularGraph):
+        intersection_numbers(Graph(3, [(0, 1), (1, 2)]), 2, depth=1)
 
 
 def test_s_arc_counts():
